@@ -22,13 +22,8 @@ object DebugRunJob {
       val p = ProblemGen.generate(ds, eta, eta, seed)
       val r = Protocol.evaluate(spark, p, config)
       println(f"t=${r.seconds}%.2f dCore=${r.dCore}%.3f dCosts=${r.dCosts}%.3f acc=${r.acc}%.3f")
-      val base =
-        if (config == Protocol.Hid) repro.core.search.AffidavitConfig.hidConfig(p.seed)
-        else repro.core.search.AffidavitConfig.hsConfig(p.seed)
-      val res = repro.core.search.Affidavit.run(
-        p.inst,
-        base.copy(trace = s => println(s"TRACE $s")),
-        repro.core.search.InitStrategy.Id)
+      val (base, init) = Protocol.configure(spark, p, config)
+      val res = repro.core.search.Affidavit.run(p.inst, base.copy(trace = s => println(s"TRACE $s")), init)
       println(s"polls=${res.polls} evaluated=${res.statesEvaluated} cost=${res.cost}")
       for ((a, i) <- p.inst.attrs.zipWithIndex) {
         val found = res.explanation.funcs(i).describe

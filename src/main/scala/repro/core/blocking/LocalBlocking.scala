@@ -1,13 +1,12 @@
 package repro.core.blocking
 
-import scala.collection.mutable
-
-import repro.core.model.{AttrFunc, LocalInstance}
+import repro.core.model.{AttrFunc, CodeTable, LocalInstance}
 
 /** One block of the blocking result Φ_H (Def. 4.4): the source and target
-  * record indices that share a blocking index κ under the current state.
+  * record indices, each ascending, that share a blocking index κ under the
+  * current state.
   */
-final case class Block(key: String, src: Array[Int], tgt: Array[Int]) {
+final case class Block(src: Array[Int], tgt: Array[Int]) {
   def isMixed: Boolean = src.length > 0 && tgt.length > 0
 }
 
@@ -41,46 +40,71 @@ final case class BlockingResult(blocks: Array[Block]) {
   }
 }
 
-/** Driver-side blocking engine (the Spark engine in
-  * `repro.spark.SparkBlocking` is verified equivalent in tests).
+/** Driver-side blocking engine over the dictionary-encoded instance (the
+  * Spark engine in `repro.spark.SparkBlocking` is verified equivalent in
+  * tests).
   */
 object LocalBlocking {
 
-  private val Sep = '\u0001'
-
-  /** Blocking index ξ_H of a record: project to the decided attributes,
-    * applying the assigned functions on the source side (Def. 4.3).
-    * `decided` holds (attribute index, function) pairs.
-    */
-  def indexOf(rec: Array[String], decided: Array[(Int, AttrFunc)], isSource: Boolean): String = {
-    val sb = new java.lang.StringBuilder
-    var i = 0
-    while (i < decided.length) {
-      val (a, f) = decided(i)
-      sb.append(if (isSource) f(rec(a)) else rec(a))
-      sb.append(Sep)
-      i += 1
-    }
-    sb.toString
-  }
-
-  /** Build Φ_H for the given decided assignments. With no decided
+  /** Build Φ_H for the given decided (attribute index, function) pairs: two
+    * records share a block when they agree on every decided attribute, with
+    * the assigned function applied on the source side (Def. 4.3).
+    *
+    * Blocks are found by partition refinement: all records start in one
+    * block, and each decided attribute splits every block by the record's
+    * code, (parent block, code) ↦ child. Children are numbered in order of
+    * first occurrence, sources before targets and each by ascending index,
+    * so blocks come out in order of their first record. With no decided
     * attributes every record falls into the single empty-index block.
     */
   def block(inst: LocalInstance, decided: Array[(Int, AttrFunc)]): BlockingResult = {
-    val m = mutable.LinkedHashMap.empty[String, (mutable.ArrayBuilder.ofInt, mutable.ArrayBuilder.ofInt)]
-    def cell(k: String) = m.getOrElseUpdate(k, (new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofInt))
+    val ns = inst.source.length
+    val nt = inst.target.length
+    if (ns + nt == 0) return BlockingResult(Array.empty)
+    val srcBlock = new Array[Int](ns)
+    val tgtBlock = new Array[Int](nt)
+    var nBlocks = 1
+    val children = new LongIntMap(ns + nt)
+    var k = 0
+    while (k < decided.length) {
+      val (a, f) = decided(k)
+      val attr = inst.encoded(a)
+      val fc = new CodeTable(attr, f)
+      children.clear()
+      var i = 0
+      while (i < ns) {
+        srcBlock(i) = children.getOrAdd(pack(srcBlock(i), fc(attr.src(i))))
+        i += 1
+      }
+      var j = 0
+      while (j < nt) {
+        tgtBlock(j) = children.getOrAdd(pack(tgtBlock(j), attr.tgt(j)))
+        j += 1
+      }
+      nBlocks = children.size
+      k += 1
+    }
+    val srcs = members(srcBlock, nBlocks)
+    val tgts = members(tgtBlock, nBlocks)
+    BlockingResult(Array.tabulate(nBlocks)(b => Block(srcs(b), tgts(b))))
+  }
+
+  private def pack(block: Int, code: Int): Long = (block.toLong << 32) | code.toLong
+
+  /** Record indices per block, ascending. */
+  private def members(blockOf: Array[Int], nBlocks: Int): Array[Array[Int]] = {
+    val sizes = new Array[Int](nBlocks)
+    blockOf.foreach(b => sizes(b) += 1)
+    val out = sizes.map(new Array[Int](_))
+    java.util.Arrays.fill(sizes, 0)
     var i = 0
-    while (i < inst.source.length) {
-      cell(indexOf(inst.source(i), decided, isSource = true))._1 += i
+    while (i < blockOf.length) {
+      val b = blockOf(i)
+      out(b)(sizes(b)) = i
+      sizes(b) += 1
       i += 1
     }
-    var j = 0
-    while (j < inst.target.length) {
-      cell(indexOf(inst.target(j), decided, isSource = false))._2 += j
-      j += 1
-    }
-    BlockingResult(m.iterator.map { case (k, (s, t)) => Block(k, s.result(), t.result()) }.toArray)
+    out
   }
 
   /** Indeterminacy of an undecided attribute under Φ_H (§4.3): the maximum
@@ -90,24 +114,59 @@ object LocalBlocking {
     * no block is mixed.
     */
   def indeterminacy(inst: LocalInstance, blocking: BlockingResult, attr: Int): Int = {
+    val col = inst.encoded(attr)
     val mixed = blocking.mixed
-    if (mixed.isEmpty) {
-      val all = mutable.HashSet.empty[String]
-      inst.source.foreach(r => all += r(attr))
-      all.size
-    } else {
+    if (mixed.isEmpty) col.srcDistinct
+    else {
       var best = 0
-      val seen = mutable.HashSet.empty[String]
+      val seenIn = new Array[Int](col.size) // mixed-block index + 1 of the last sighting
       var i = 0
       while (i < mixed.length) {
-        seen.clear()
         val src = mixed(i).src
+        var distinct = 0
         var k = 0
-        while (k < src.length) { seen += inst.source(src(k))(attr); k += 1 }
-        if (seen.size > best) best = seen.size
+        while (k < src.length) {
+          val c = col.src(src(k))
+          if (seenIn(c) != i + 1) { seenIn(c) = i + 1; distinct += 1 }
+          k += 1
+        }
+        if (distinct > best) best = distinct
         i += 1
       }
       best
     }
+  }
+}
+
+/** Open-addressing map from non-negative `Long` keys to dense ids
+  * 0, 1, 2, … in order of first insertion, sized for at most `capacity`
+  * keys.
+  */
+private final class LongIntMap(capacity: Int) {
+  private val mask = Integer.highestOneBit(math.max(2, capacity) * 2 - 1) * 2 - 1
+  private val keys = new Array[Long](mask + 1)
+  private val ids = new Array[Int](mask + 1) // id + 1; 0 = empty slot
+  var size = 0
+
+  def clear(): Unit = {
+    java.util.Arrays.fill(ids, 0)
+    size = 0
+  }
+
+  /** The id of `key`, which gets the next id if it is new. */
+  def getOrAdd(key: Long): Int = {
+    var slot = java.lang.Long.hashCode(key * 0x9E3779B97F4A7C15L) & mask
+    while (true) {
+      val id = ids(slot)
+      if (id == 0) {
+        keys(slot) = key
+        size += 1
+        ids(slot) = size
+        return size - 1
+      }
+      if (keys(slot) == key) return id - 1
+      slot = (slot + 1) & mask
+    }
+    -1
   }
 }

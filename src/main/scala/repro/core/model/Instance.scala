@@ -7,6 +7,9 @@ package repro.core.model
   * i-th source / j-th target record. The candidate set `F` is described
   * implicitly by the meta-function registry the search is configured with;
   * record order carries no information (snapshots are unaligned).
+  *
+  * The search reads the records through `encoded`, built once here; the
+  * rows must not be changed after construction.
   */
 final case class LocalInstance(
     attrs: Vector[String],
@@ -15,6 +18,9 @@ final case class LocalInstance(
 ) {
   require(source.forall(_.length == attrs.length), "source arity mismatch")
   require(target.forall(_.length == attrs.length), "target arity mismatch")
+
+  /** The instance dictionary-encoded, one [[EncodedAttr]] per attribute. */
+  val encoded: Array[EncodedAttr] = Array.tabulate(attrs.length)(EncodedAttr(source, target, _))
 
   /** Number of attributes d = |A|. */
   def d: Int = attrs.length

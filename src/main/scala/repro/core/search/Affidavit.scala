@@ -5,7 +5,7 @@ import scala.util.Random
 
 import repro.core.blocking.{BlockingResult, LocalBlocking}
 import repro.core.functions.Funcs
-import repro.core.model.{AttrFunc, Costs, Explanation, LocalInstance}
+import repro.core.model.{AttrFunc, CodeTable, Costs, Explanation, LocalInstance}
 
 /** Result of one Affidavit run. */
 final case class AffidavitResult(
@@ -39,13 +39,19 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
   /** Cost of `parent + (attr ↦ f)` computed by refining the parent's
     * blocking on the one new attribute — equivalent to a full re-blocking
     * (the refined partition equals blocking on decided ∪ {attr}) but O(N)
-    * instead of O(N·d).
+    * instead of O(N·d). Inside a mixed block, the sources and targets with
+    * one code form one child block; a source whose output is absent from
+    * the dictionary matches no target and counts in `cs` on its own.
     */
   def refinedCost(h: State, parentBlocking: BlockingResult, attr: Int, f: AttrFunc): Double = {
     evaluated += 1
+    val col = inst.encoded(attr)
+    val fc = new CodeTable(col, f)
+    val balance = new Array[Int](col.size) // sources − targets per code in the current block
+    val seenIn = new Array[Int](col.size) // block index + 1 of the last sighting
+    val touched = new Array[Int](col.size) // codes seen in the current block
     var ct = 0
     var cs = 0
-    val counts = new java.util.HashMap[String, Array[Int]]()
     val blocks = parentBlocking.blocks
     var bi = 0
     while (bi < blocks.length) {
@@ -53,25 +59,30 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
       if (b.src.length == 0) ct += b.tgt.length
       else if (b.tgt.length == 0) cs += b.src.length
       else {
-        counts.clear()
+        var nTouched = 0
         var i = 0
         while (i < b.src.length) {
-          val v = f(inst.source(b.src(i))(attr))
-          val c = counts.computeIfAbsent(v, _ => new Array[Int](2))
-          c(0) += 1
+          val c = fc(col.src(b.src(i)))
+          if (c >= col.size) cs += 1
+          else {
+            if (seenIn(c) != bi + 1) { seenIn(c) = bi + 1; touched(nTouched) = c; nTouched += 1 }
+            balance(c) += 1
+          }
           i += 1
         }
         var j = 0
         while (j < b.tgt.length) {
-          val v = inst.target(b.tgt(j))(attr)
-          val c = counts.computeIfAbsent(v, _ => new Array[Int](2))
-          c(1) += 1
+          val c = col.tgt(b.tgt(j))
+          if (seenIn(c) != bi + 1) { seenIn(c) = bi + 1; touched(nTouched) = c; nTouched += 1 }
+          balance(c) -= 1
           j += 1
         }
-        val it = counts.values().iterator()
-        while (it.hasNext) {
-          val c = it.next()
-          if (c(1) > c(0)) ct += c(1) - c(0) else cs += c(0) - c(1)
+        var k = 0
+        while (k < nTouched) {
+          val c = touched(k)
+          if (balance(c) > 0) cs += balance(c) else ct -= balance(c)
+          balance(c) = 0
+          k += 1
         }
       }
       bi += 1

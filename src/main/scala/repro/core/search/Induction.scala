@@ -3,8 +3,8 @@ package repro.core.search
 import scala.collection.mutable
 import scala.util.Random
 
-import repro.core.blocking.BlockingResult
-import repro.core.model.{AttrFunc, LocalInstance}
+import repro.core.blocking.{Block, BlockingResult}
+import repro.core.model.{AttrFunc, CodeTable, LocalInstance}
 
 /** Function-candidate induction and ranking (§4.4.2, §4.4.3). */
 object Induction {
@@ -22,60 +22,81 @@ object Induction {
   ): List[AttrFunc] = {
     val mixed = blocking.mixed
     if (mixed.isEmpty) return Nil
+    val col = inst.encoded(attr)
 
     // --- candidate generation from sampled noisy input-output examples ---
     // Pool of (block, target record) pairs over mixed blocks.
-    val pool = mutable.ArrayBuilder.make[(Int, Int)]
+    val poolBlock = mutable.ArrayBuilder.make[Int]
+    val poolTarget = mutable.ArrayBuilder.make[Int]
     var bi = 0
     while (bi < mixed.length) {
       val tgt = mixed(bi).tgt
       var k = 0
-      while (k < tgt.length) { pool += ((bi, tgt(k))); k += 1 }
+      while (k < tgt.length) { poolBlock += bi; poolTarget += tgt(k); k += 1 }
       bi += 1
     }
-    val targets = pool.result()
+    val blocks = poolBlock.result()
+    val targets = poolTarget.result()
     val k = cfg.inductionSampleSize
-    val sampled: Array[(Int, Int)] =
-      if (targets.length <= k) targets
-      else rnd.shuffle(targets.toVector).take(k).toArray
+    val sampled: Array[Int] = // pool positions
+      if (targets.length <= k) targets.indices.toArray
+      else Sampling.shuffle(targets.indices.toArray, rnd).take(k)
 
-    // Distinct source values per mixed block, computed lazily and cached.
-    val srcValuesCache = mutable.HashMap.empty[Int, Array[String]]
-    def srcValues(b: Int): Array[String] =
-      srcValuesCache.getOrElseUpdate(b, {
-        val seen = mutable.LinkedHashSet.empty[String]
-        val src = mixed(b).src
-        var i = 0
-        while (i < src.length) { seen += inst.source(src(i))(attr); i += 1 }
+    // Distinct source codes per mixed block, in order of first occurrence,
+    // computed lazily and cached.
+    val srcCodesCache = new Array[Array[Int]](mixed.length)
+    def srcCodes(b: Int): Array[Int] = {
+      if (srcCodesCache(b) == null) {
+        val seen = mutable.LinkedHashSet.empty[Int]
+        mixed(b).src.foreach(s => seen += col.src(s))
         val all = seen.toArray
-        if (all.length <= cfg.maxSrcValuesPerExample) all
-        else rnd.shuffle(all.toVector).take(cfg.maxSrcValuesPerExample).toArray
+        srcCodesCache(b) =
+          if (all.length <= cfg.maxSrcValuesPerExample) all
+          else Sampling.shuffle(all, rnd).take(cfg.maxSrcValuesPerExample)
+      }
+      srcCodesCache(b)
+    }
+
+    // Candidates are numbered by first generation, one id per `describe`;
+    // a counted candidate keeps the function of its latest generation. The
+    // functions one (input, output) code pair generates are computed once.
+    val ids = mutable.HashMap.empty[String, Int]
+    val cands = mutable.ArrayBuffer.empty[AttrFunc]
+    val counts = mutable.ArrayBuffer.empty[Int]
+    val lastExample = mutable.ArrayBuffer.empty[Int] // last sampled example that counted the id
+    val generated = mutable.HashMap.empty[Long, Array[(Int, AttrFunc)]]
+    def generate(in: Int, out: Int): Array[(Int, AttrFunc)] =
+      generated.getOrElseUpdate((in.toLong << 32) | out.toLong, {
+        val inV = col.dict(in)
+        val outV = col.dict(out)
+        cfg.metas.iterator.flatMap(_.induceVerified(inV, outV)).map { f =>
+          val id = ids.getOrElseUpdate(f.describe, {
+            cands += f
+            counts += 0
+            lastExample += -1
+            cands.length - 1
+          })
+          (id, f)
+        }.toArray
       })
 
-    val counts = mutable.HashMap.empty[String, (AttrFunc, Int)]
-    val perTarget = mutable.HashSet.empty[String]
     var si = 0
     while (si < sampled.length) {
-      val (b, t) = sampled(si)
-      val out = inst.target(t)(attr)
-      perTarget.clear()
-      val vals = srcValues(b)
+      val p = sampled(si)
+      val out = col.tgt(targets(p))
+      val vals = srcCodes(blocks(p))
       var vi = 0
       while (vi < vals.length) {
-        val in = vals(vi)
-        var ms = cfg.metas
-        while (ms.nonEmpty) {
-          var fs = ms.head.induceVerified(in, out)
-          while (fs.nonEmpty) {
-            val f = fs.head
-            val key = f.describe
-            if (perTarget.add(key)) {
-              val (_, c) = counts.getOrElse(key, (f, 0))
-              counts.update(key, (f, c + 1))
-            }
-            fs = fs.tail
+        val gen = generate(vals(vi), out)
+        var gi = 0
+        while (gi < gen.length) {
+          val (id, f) = gen(gi)
+          if (lastExample(id) != si) {
+            lastExample(id) = si
+            counts(id) += 1
+            cands(id) = f
           }
-          ms = ms.tail
+          gi += 1
         }
         vi += 1
       }
@@ -86,7 +107,7 @@ object Induction {
     val threshold =
       if (sampled.length >= k) cfg.significanceCount
       else math.max(1, math.ceil(cfg.theta * sampled.length / 2.0).toInt)
-    val survivors = counts.valuesIterator.collect { case (f, c) if c >= threshold => f }.toArray
+    val survivors = cands.indices.collect { case id if counts(id) >= threshold => cands(id) }.toArray
     if (survivors.isEmpty) return Nil
 
     // --- ranking by sampled histogram overlap minus description length ---
@@ -98,18 +119,21 @@ object Induction {
     * sample k' source records, dedupe their blocks, and on each block
     * compare the histogram of transformed source values against the block's
     * target-value histogram (sum of per-value minimum frequencies). The
-    * final rank key is total overlap minus ψ, descending.
+    * final rank key is total overlap minus ψ, descending, then ψ, then
+    * `describe`.
     */
   def rankByOverlap(
       inst: LocalInstance,
-      mixed: Array[repro.core.blocking.Block],
+      mixed: Array[Block],
       attr: Int,
       candidates: Array[AttrFunc],
       cfg: AffidavitConfig,
       rnd: Random,
   ): Array[AttrFunc] = {
-    // Pool of (block, source record) pairs.
-    val pool = mutable.ArrayBuilder.make[Int] // encode as blockIdx (weighted by src count)
+    val col = inst.encoded(attr)
+    // Pool of (block, source record) pairs, as the block index repeated
+    // once per source record.
+    val pool = mutable.ArrayBuilder.make[Int]
     var bi = 0
     while (bi < mixed.length) {
       val n = mixed(bi).src.length
@@ -121,40 +145,56 @@ object Induction {
     val kPrime = cfg.rankingSampleSize
     val chosenBlocks: Array[Int] =
       if (weighted.length <= kPrime) weighted.distinct
-      else rnd.shuffle(weighted.toVector).take(kPrime).distinct.toArray
+      else Sampling.shuffle(weighted, rnd).take(kPrime).distinct
 
+    // Per chosen block, the target histogram and the source-code histogram
+    // are built once; each candidate re-buckets the source histogram
+    // through its code table, where outputs absent from the dictionary
+    // match no target and drop out.
+    val tables = candidates.map(new CodeTable(col, _))
     val overlaps = new Array[Long](candidates.length)
-    val tgtHist = mutable.HashMap.empty[String, Int]
-    val srcHist = mutable.HashMap.empty[String, Int]
-    var ci = 0
+    val tgtCount = new Array[Int](col.size)
+    val srcCount = new Array[Int](col.size)
+    val srcCodes = new Array[Int](col.size) // distinct source codes of the block
+    val mapped = new Array[Int](col.size)
+    val hits = new Array[Int](col.size) // codes with a mapped count
     var b = 0
     while (b < chosenBlocks.length) {
       val block = mixed(chosenBlocks(b))
-      tgtHist.clear()
-      var t = 0
-      while (t < block.tgt.length) {
-        val v = inst.target(block.tgt(t))(attr)
-        tgtHist.update(v, tgtHist.getOrElse(v, 0) + 1)
-        t += 1
+      block.tgt.foreach(t => tgtCount(col.tgt(t)) += 1)
+      var nCodes = 0
+      block.src.foreach { s =>
+        val c = col.src(s)
+        if (srcCount(c) == 0) { srcCodes(nCodes) = c; nCodes += 1 }
+        srcCount(c) += 1
       }
-      ci = 0
+      var ci = 0
       while (ci < candidates.length) {
-        val f = candidates(ci)
-        srcHist.clear()
-        var s = 0
-        while (s < block.src.length) {
-          val v = f(inst.source(block.src(s))(attr))
-          srcHist.update(v, srcHist.getOrElse(v, 0) + 1)
-          s += 1
+        val table = tables(ci)
+        var nHits = 0
+        var k = 0
+        while (k < nCodes) {
+          val v = table(srcCodes(k))
+          if (v < col.size && tgtCount(v) > 0) {
+            if (mapped(v) == 0) { hits(nHits) = v; nHits += 1 }
+            mapped(v) += srcCount(srcCodes(k))
+          }
+          k += 1
         }
         var acc = 0L
-        srcHist.foreach { case (v, c) =>
-          val tc = tgtHist.getOrElse(v, 0)
-          acc += math.min(c, tc)
+        var h = 0
+        while (h < nHits) {
+          val v = hits(h)
+          acc += math.min(mapped(v), tgtCount(v))
+          mapped(v) = 0
+          h += 1
         }
         overlaps(ci) += acc
         ci += 1
       }
+      var k = 0
+      while (k < nCodes) { srcCount(srcCodes(k)) = 0; k += 1 }
+      block.tgt.foreach(t => tgtCount(col.tgt(t)) = 0)
       b += 1
     }
     candidates.zipWithIndex

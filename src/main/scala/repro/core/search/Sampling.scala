@@ -10,6 +10,22 @@ import repro.core.model.LocalInstance
 /** Random-alignment sampling and greedy value-map induction (§4.3). */
 object Sampling {
 
+  /** A shuffled copy of `xs`: the permutation `rnd.shuffle(xs.toVector)`
+    * gives, drawing the same numbers from `rnd`, without boxing.
+    */
+  def shuffle(xs: Array[Int], rnd: Random): Array[Int] = {
+    val buf = xs.clone()
+    var n = buf.length
+    while (n >= 2) {
+      val k = rnd.nextInt(n)
+      val tmp = buf(n - 1)
+      buf(n - 1) = buf(k)
+      buf(k) = tmp
+      n -= 1
+    }
+    buf
+  }
+
   /** Sample a random alignment of all records that respects Φ_H: within
     * each mixed block, pair a random permutation of the sources with a
     * random permutation of the targets (Sample-Random-Alignment).
@@ -21,8 +37,8 @@ object Sampling {
     var i = 0
     while (i < mixed.length) {
       val b = mixed(i)
-      val s = rnd.shuffle(b.src.toVector)
-      val t = rnd.shuffle(b.tgt.toVector)
+      val s = shuffle(b.src, rnd)
+      val t = shuffle(b.tgt, rnd)
       val n = math.min(s.length, t.length)
       var k = 0
       while (k < n) { out += ((s(k), t(k))); k += 1 }
@@ -33,24 +49,29 @@ object Sampling {
 
   /** Induce-Greedy-Map: map each source value of the attribute to the
     * target value with the highest co-occurrence in the alignment (ties
-    * break deterministically by lexicographic order). Entries include
-    * identity pairs — they still cost 2 parameters each.
+    * break deterministically by lexicographic order, `null` first). Entries
+    * include identity pairs — they still cost 2 parameters each.
     */
   def greedyMap(inst: LocalInstance, alignment: Array[(Int, Int)], attr: Int): Funcs.ValueMap = {
-    val cooc = mutable.HashMap.empty[String, mutable.HashMap[String, Int]]
+    val col = inst.encoded(attr)
+    // (source code, target code) pairs, sorted: equal pairs form runs, and
+    // the runs of one source code come in target value order.
+    val pairs = alignment.map { case (s, t) => (col.src(s).toLong << 32) | col.tgt(t).toLong }
+    java.util.Arrays.sort(pairs)
+    val entries = Map.newBuilder[String, String]
     var i = 0
-    while (i < alignment.length) {
-      val (s, t) = alignment(i)
-      val sv = inst.source(s)(attr)
-      val tv = inst.target(t)(attr)
-      val inner = cooc.getOrElseUpdate(sv, mutable.HashMap.empty)
-      inner.update(tv, inner.getOrElse(tv, 0) + 1)
-      i += 1
+    while (i < pairs.length) {
+      val sv = (pairs(i) >>> 32).toInt
+      var best = -1
+      var bestCount = 0
+      while (i < pairs.length && (pairs(i) >>> 32).toInt == sv) {
+        val pair = pairs(i)
+        var run = 0
+        while (i < pairs.length && pairs(i) == pair) { run += 1; i += 1 }
+        if (run > bestCount) { best = pair.toInt; bestCount = run }
+      }
+      entries += col.dict(sv) -> col.dict(best)
     }
-    val entries = cooc.iterator.map { case (sv, inner) =>
-      val best = inner.toSeq.minBy { case (tv, c) => (-c, tv) }._1
-      sv -> best
-    }.toMap
-    Funcs.ValueMap(entries)
+    Funcs.ValueMap(entries.result())
   }
 }

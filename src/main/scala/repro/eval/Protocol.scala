@@ -35,9 +35,19 @@ object Protocol {
     * one-id-per-attribute state set.
     */
   def evaluate(spark: SparkSession, problem: Problem, config: String): RunResult = {
-    val inst = problem.inst
     val t0 = System.nanoTime()
-    val (cfg, init) = config match {
+    val (cfg, init) = configure(spark, problem, config)
+    val res = Affidavit.run(problem.inst, cfg, init)
+    val seconds = (System.nanoTime() - t0) / 1e9
+    judge(problem, res, seconds, config, cfg.alpha)
+  }
+
+  /** The search configuration and start strategy of a configuration; `Hs`
+    * runs the Spark overlap matcher here.
+    */
+  def configure(spark: SparkSession, problem: Problem, config: String): (AffidavitConfig, InitStrategy) = {
+    val inst = problem.inst
+    config match {
       case Hid => (AffidavitConfig.hidConfig(problem.seed), InitStrategy.Id)
       case Hs =>
         val sDf = ProblemGen.toDf(spark, inst, inst.source)
@@ -46,9 +56,6 @@ object Protocol {
         (AffidavitConfig.hsConfig(problem.seed), InitStrategy.Overlap(overlap.idAttrs))
       case other => sys.error(s"unknown config: $other")
     }
-    val res = Affidavit.run(inst, cfg, init)
-    val seconds = (System.nanoTime() - t0) / 1e9
-    judge(problem, res, seconds, config, cfg.alpha)
   }
 
   /** Compute the §5.2 metrics for a finished run. */

@@ -120,4 +120,20 @@ class AffidavitSpec extends AnyFunSuite {
     val res = Affidavit.run(i, AffidavitConfig(seed = 1), InitStrategy.Id)
     assert(res.polls >= 1 && res.statesEvaluated >= 1)
   }
+
+  test("null and \"null\" are different values: the explanation is valid") {
+    val i = inst(Seq(Seq(null)), Seq(Seq("null")), "x")
+    val res = Affidavit.run(i, AffidavitConfig.hidConfig(1), InitStrategy.Id)
+    assert(res.explanation.isValidFor(i))
+    assert(res.explanation.coreSize == 0)
+    assert(res.cost == Costs.explanationCost(i, res.explanation, 0.5))
+  }
+
+  test("values containing U+0001 are explained validly at their true cost") {
+    val i = inst(Seq(Seq("x\u0001y", "z")), Seq(Seq("x", "y\u0001z")), "a", "b")
+    val res = Affidavit.run(i, AffidavitConfig.hidConfig(1), InitStrategy.Id)
+    assert(res.explanation.isValidFor(i))
+    assert(res.cost > 0.0)
+    assert(res.cost == Costs.explanationCost(i, res.explanation, 0.5))
+  }
 }

@@ -1,0 +1,111 @@
+package repro.core
+
+import scala.collection.mutable
+import scala.util.Random
+
+import org.scalatest.funsuite.AnyFunSuite
+
+import repro.core.blocking.LocalBlocking
+import repro.core.functions.Funcs._
+import repro.core.model.{AttrFunc, LocalInstance, RunningExample}
+import repro.core.search.{Affidavit, AffidavitConfig, Sampling, State}
+import repro.gen.{Dataset, ProblemGen}
+
+/** The encoded blocking engine and the costs counted on it against a plain
+  * oracle that groups records by the `Vector[String]` of their projected
+  * values.
+  */
+class BlockingOracleSpec extends AnyFunSuite {
+
+  /** Blocks as (sources, targets), in order of their first record (sources
+    * before targets, each by ascending index).
+    */
+  private def oracleBlocks(inst: LocalInstance, decided: Array[(Int, AttrFunc)]): Seq[(Seq[Int], Seq[Int])] = {
+    val m = mutable.LinkedHashMap.empty[Vector[String], (mutable.ArrayBuffer[Int], mutable.ArrayBuffer[Int])]
+    def cell(k: Vector[String]) = m.getOrElseUpdate(k, (mutable.ArrayBuffer.empty, mutable.ArrayBuffer.empty))
+    inst.source.indices.foreach(i => cell(decided.toVector.map { case (a, f) => f(inst.source(i)(a)) })._1 += i)
+    inst.target.indices.foreach(j => cell(decided.toVector.map { case (a, _) => inst.target(j)(a) })._2 += j)
+    m.valuesIterator.map { case (s, t) => (s.toSeq, t.toSeq) }.toSeq
+  }
+
+  private def engineBlocks(inst: LocalInstance, decided: Array[(Int, AttrFunc)]): Seq[(Seq[Int], Seq[Int])] =
+    LocalBlocking.block(inst, decided).blocks.toSeq.map(b => (b.src.toSeq, b.tgt.toSeq))
+
+  /** Functions worth trying on attribute `a`: identity, a constant no
+    * record holds, additions, a map over some of the attribute's values and
+    * whatever `extra` holds.
+    */
+  private def funcsFor(inst: LocalInstance, a: Int, rnd: Random, extra: Seq[AttrFunc]): Seq[AttrFunc] = {
+    val values = (inst.source.map(_(a)) ++ inst.target.map(_(a))).distinct
+    val keys = values.filter(_ != null) // ValueMap.describe sorts its keys
+    val maps =
+      if (keys.isEmpty) Nil
+      else Seq(ValueMap(Seq.fill(3)(keys(rnd.nextInt(keys.length)) -> values(rnd.nextInt(values.length))).toMap))
+    Seq(Identity, Const("never-seen"), Const(values.head), Add(BigDecimal(1)), Add(BigDecimal(-0.5))) ++ maps ++ extra
+  }
+
+  /** Random decided assignments over `inst`, each checked against the
+    * oracle, and every one-attribute extension's refined cost checked
+    * against the cost of the extended state.
+    */
+  private def checkInstance(inst: LocalInstance, rnd: Random, extra: Int => Seq[AttrFunc], rounds: Int): Unit = {
+    val aff = new Affidavit(inst, AffidavitConfig(seed = 1))
+    for (_ <- 1 to rounds) {
+      var h = State.blank(inst.d)
+      for (a <- 0 until inst.d if rnd.nextDouble() < 0.4) {
+        val fs = funcsFor(inst, a, rnd, extra(a))
+        h = h.assign(a, fs(rnd.nextInt(fs.length)))
+      }
+      assert(engineBlocks(inst, h.decided) == oracleBlocks(inst, h.decided), h.signature)
+      val blocking = LocalBlocking.block(inst, h.decided)
+      for (a <- h.undecided; f <- funcsFor(inst, a, rnd, extra(a))) {
+        val ext = h.assign(a, f)
+        assert(aff.refinedCost(h, blocking, a, f) == aff.stateCost(ext), ext.signature)
+      }
+    }
+  }
+
+  test("running example: blocks and refined costs match the oracle") {
+    val inst = RunningExample.instance
+    val known: Int => Seq[AttrFunc] = {
+      case 2 => Seq(PrefixReplace("9999123", "2018070"))
+      case 4 => Seq(Div(BigDecimal(1000)))
+      case 5 => Seq(Const("k $"))
+      case _ => Seq(Upper)
+    }
+    checkInstance(inst, new Random(11), known, rounds = 40)
+  }
+
+  test("generated instances: blocks and refined costs match the oracle") {
+    val rnd = new Random(5)
+    for (seed <- 1 to 6) {
+      val rows = Array.fill(60)(Array(
+        s"c${rnd.nextInt(4)}",
+        (rnd.nextInt(9) * 10).toString,
+        s"name${rnd.nextInt(12)}",
+        s"x${rnd.nextInt(3)}\u0001${rnd.nextInt(2)}"))
+      val p = ProblemGen.generate(Dataset("toy", Vector("cat", "num", "name", "sep"), rows), 0.3, 0.5, seed)
+      checkInstance(p.inst, rnd, a => Seq(p.appliedFuncs.lift(a).getOrElse(Identity)), rounds = 15)
+    }
+  }
+
+  test("random tables with null and \"null\": blocks and refined costs match the oracle") {
+    val rnd = new Random(9)
+    val values = Array[String](null, "null", "a", "1", "2", "x\u0001", "\u0001")
+    def table(n: Int) = Array.fill(n)(Array.fill(3)(values(rnd.nextInt(values.length))))
+    for (_ <- 1 to 10) {
+      val inst = LocalInstance(Vector("a", "b", "c"), table(1 + rnd.nextInt(12)), table(rnd.nextInt(12)))
+      checkInstance(inst, rnd, _ => Seq(Upper, Const(null)), rounds = 8)
+    }
+  }
+
+  test("shuffle permutes and draws like Random.shuffle") {
+    for (seed <- 1 to 20; n <- Seq(0, 1, 2, 3, 10, 257)) {
+      val xs = Array.tabulate(n)(i => i * 7 + 1)
+      val a = new Random(seed)
+      val b = new Random(seed)
+      assert(Sampling.shuffle(xs, a).toSeq == b.shuffle(xs.toVector))
+      assert(a.nextLong() == b.nextLong())
+    }
+  }
+}

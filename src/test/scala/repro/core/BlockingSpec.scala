@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.core.blocking.LocalBlocking
+import repro.core.blocking.{Block, BlockingResult, LocalBlocking}
 import repro.core.functions.Funcs._
 import repro.core.model.{LocalInstance, RunningExample}
 
@@ -28,14 +28,25 @@ class BlockingSpec extends AnyFunSuite {
     assert(blocks.blocks(0).src.length == 17 && blocks.blocks(0).tgt.length == 16)
   }
 
+  /** The block holding source record `s`. */
+  private def blockOfSource(blocks: BlockingResult, s: Int): Block =
+    blocks.blocks.find(_.src.contains(s)).get
+
   test("source records are indexed through their assigned functions") {
-    val idx = LocalBlocking.indexOf(inst.source(0), h1, isSource = true)
-    assert(idx.startsWith("Ak $IBM"))
+    // S01 = (A, USD, IBM) blocks as (A, k $, IBM): Unit goes through const.
+    val b = blockOfSource(LocalBlocking.block(inst, h1), 0)
+    assert(b.src.forall(i => inst.source(i)(3) == "A" && inst.source(i)(6) == "IBM"))
+    assert(b.src.forall(i => inst.source(i)(5) == "USD"))
+    assert(b.tgt.nonEmpty)
+    assert(b.tgt.forall(j => inst.target(j)(3) == "A" && inst.target(j)(5) == "k $" && inst.target(j)(6) == "IBM"))
   }
 
   test("target records are indexed by raw projection") {
-    val idx = LocalBlocking.indexOf(inst.target(0), h1, isSource = false)
-    assert(idx.startsWith("Ak $IBM"))
+    // T01 = (A, k $, IBM) shares S01's block; no target with Unit USD does.
+    val blocks = LocalBlocking.block(inst, h1)
+    assert(blockOfSource(blocks, 0).tgt.contains(0))
+    val usdTargets = inst.target.indices.filter(j => inst.target(j)(5) == "USD")
+    assert(usdTargets.forall(j => !blocks.blocks.exists(b => b.src.nonEmpty && b.tgt.contains(j))))
   }
 
   test("every record lands in exactly one block") {
@@ -86,7 +97,21 @@ class BlockingSpec extends AnyFunSuite {
     val decided = Array((4, Div(BigDecimal(1000)): repro.core.model.AttrFunc))
     val blocks = LocalBlocking.block(inst, decided)
     // Source S01 Val=80000 ↦ 80 groups with targets whose Val is literally 80.
-    val b = blocks.blocks.find(_.key.startsWith("80")).get
-    assert(b.src.nonEmpty && b.tgt.nonEmpty)
+    val b = blockOfSource(blocks, 0)
+    assert(b.tgt.nonEmpty && b.tgt.forall(j => inst.target(j)(4) == "80"))
+    assert(b.src.forall(i => inst.source(i)(4) == "80000"))
+  }
+
+  test("null and the string \"null\" land in different blocks") {
+    val toy = LocalInstance(Vector("a"), Array(Array(null), Array("null")), Array(Array("null"), Array(null)))
+    val blocks = LocalBlocking.block(toy, Array((0, Identity)))
+    assert(blocks.blocks.map(b => (b.src.toSeq, b.tgt.toSeq)).toSeq == Seq((Seq(0), Seq(1)), (Seq(1), Seq(0))))
+  }
+
+  test("values containing U+0001 do not merge blocks") {
+    val toy = LocalInstance(Vector("a", "b"), Array(Array("x\u0001y", "z")), Array(Array("x", "y\u0001z")))
+    val blocks = LocalBlocking.block(toy, Array((0, Identity), (1, Identity)))
+    assert(blocks.blocks.length == 2 && blocks.mixed.isEmpty)
+    assert(blocks.ct == 1 && blocks.cs == 1)
   }
 }
