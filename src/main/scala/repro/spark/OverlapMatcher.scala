@@ -1,40 +1,40 @@
 package repro.spark
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-/** The overlap-score initialization H^s (§4.2), expressed as DataFrame
-  * joins and aggregations.
+/** The overlap-score initialization H^s (§4.2), expressed as one DataFrame
+  * query with two shuffle rounds.
   *
-  * Candidate record pairs are generated by joining the melted snapshots on
-  * (attribute, value), skipping attribute values whose source×target
-  * frequency product exceeds `maxBlock` (the paper's configurable maximum
-  * block size, default 100 000). Each candidate pair is then scored with
-  * the *full* attribute overlap (1 per attribute with identical values);
-  * for every source record the best-scoring target is kept. The modal
-  * score k' over these pairs estimates the number of unchanged attributes,
-  * and the k' most frequently overlapping attributes form the id-assigned
-  * start state.
+  * Candidate record pairs share a value of some attribute, skipping
+  * attribute values whose source×target frequency product exceeds
+  * `maxBlock` (the paper's configurable maximum block size, default
+  * 100 000). Each candidate pair is then scored with the *full* attribute
+  * overlap (1 per attribute with identical values); for every source record
+  * the best-scoring target is kept. The modal score k' over these pairs
+  * estimates the number of unchanged attributes, and the k' most frequently
+  * overlapping attributes form the id-assigned start state.
+  *
+  * `null` is a value equal only to itself, as in the local engine: null
+  * cells share a value group and score as equal to each other.
+  *
+  * The plan: one melt of S ∪ T and one `(attr, value)` aggregation that
+  * collects both sides' row ids (shuffle 1); candidate pairs look both rows
+  * up through broadcast joins (both snapshots are driver-resident, see
+  * `ProblemGen.toDf`) and keep the best target per source in one
+  * aggregation (shuffle 2).
   */
 object OverlapMatcher {
 
-  /** One a-priori best pair: source `__row`, target `__row`, full overlap. */
-  final case class BestPair(srcRow: Long, tgtRow: Long, score: Int)
-
-  /** Result: the chosen id-attribute indices (empty ⇒ fall back to H^∅)
-    * and the best pairs for diagnostics.
+  /** Result: the chosen id-attribute indices (empty ⇒ fall back to H^∅),
+    * the modal best-pair score, and the number of best pairs (sources with
+    * at least one candidate target).
     */
   final case class OverlapResult(idAttrs: Set[Int], modalScore: Int, pairs: Long)
 
-  /** Melt a snapshot to (rid, attr, value). */
-  private def melt(df: DataFrame, attrs: Seq[String]): DataFrame = {
-    val stacked = attrs.zipWithIndex
-      .map { case (a, i) => s"$i, `$a`" }
-      .mkString(", ")
-    df.selectExpr("__row as rid", s"stack(${attrs.size}, $stacked) as (attr, value)")
-      .where(col("value").isNotNull)
-  }
+  /** A snapshot as (rid, row), `row` holding the attribute values in order. */
+  private def rows(df: DataFrame, attrs: Seq[String]): DataFrame =
+    df.select(col("__row").as("rid"), array(attrs.map(a => col(s"`$a`")): _*).as("row"))
 
   def compute(
       s: DataFrame,
@@ -43,68 +43,55 @@ object OverlapMatcher {
       maxBlock: Long = 100000L,
   ): OverlapResult = {
     val d = attrs.size
-    val ms = melt(s, attrs)
-    val mt = melt(t, attrs)
+    val sRows = rows(s, attrs)
+    val tRows = rows(t, attrs)
 
-    // Frequency filter: drop attribute values whose pair product explodes.
-    val sCnt = ms.groupBy("attr", "value").agg(count(lit(1)).as("s_cnt"))
-    val tCnt = mt.groupBy("attr", "value").agg(count(lit(1)).as("t_cnt"))
-    val allowed = sCnt
-      .join(tCnt, Seq("attr", "value"))
-      .where(col("s_cnt") * col("t_cnt") <= maxBlock)
-      .select("attr", "value")
+    // Shuffle 1: per (attr, value), the source and target rids holding it.
+    // Its list sizes are the frequency filter: drop values absent from one
+    // side and values whose pair product explodes.
+    val groups = sRows.withColumn("src", lit(true))
+      .unionByName(tRows.withColumn("src", lit(false)))
+      .select(col("src"), col("rid"), posexplode(col("row")).as(Seq("attr", "value")))
+      .groupBy("attr", "value")
+      .agg(
+        collect_list(when(col("src"), col("rid"))).as("srids"),
+        collect_list(when(!col("src"), col("rid"))).as("trids"))
+      .where(size(col("srids")) > 0 && size(col("trids")) > 0 &&
+        size(col("srids")).cast("long") * size(col("trids")) <= maxBlock)
 
-    val candidates = ms
-      .join(allowed, Seq("attr", "value"))
-      .select(col("rid").as("srid"), col("attr"), col("value"))
-      .join(
-        mt.join(allowed, Seq("attr", "value"))
-          .select(col("rid").as("trid"), col("attr"), col("value")),
-        Seq("attr", "value"))
-      .select("srid", "trid")
-      .distinct()
+    // Candidate pairs, without `distinct`: a pair shared by several values
+    // appears once per value, which cannot change a maximum.
+    val candidates = groups
+      .select(explode(col("srids")).as("srid"), col("trids"))
+      .select(col("srid"), explode(col("trids")).as("trid"))
 
-    // Full overlap score per candidate pair.
-    val sWide = s.select(col("__row").as("srid") +: attrs.zipWithIndex.map { case (a, i) =>
-      col(a).as(s"s_$i")
-    }: _*)
-    val tWide = t.select(col("__row").as("trid") +: attrs.zipWithIndex.map { case (a, i) =>
-      col(a).as(s"t_$i")
-    }: _*)
-    val matchCols: Seq[Column] = (0 until d).map { i =>
-      when(col(s"s_$i") === col(s"t_$i"), 1).otherwise(0)
-    }
+    // Full overlap of each pair, on rows looked up by broadcast.
+    val matches = zip_with(col("srow"), col("trow"), (a, b) => a <=> b)
     val scored = candidates
-      .join(sWide, "srid")
-      .join(tWide, "trid")
-      .withColumn("score", matchCols.reduce(_ + _))
+      .join(broadcast(sRows.select(col("rid").as("srid"), col("row").as("srow"))), "srid")
+      .join(broadcast(tRows.select(col("rid").as("trid"), col("row").as("trow"))), "trid")
+      .select(col("srid"), col("trid"), matches.as("matches"))
+      .withColumn("score", aggregate(col("matches"), lit(0), (n, m) => n + when(m, 1).otherwise(0)))
 
-    // Best target per source record (ties break by target row id).
-    val w = Window.partitionBy("srid").orderBy(col("score").desc, col("trid").asc)
-    val outCols: Seq[Column] =
-      Seq(col("srid"), col("trid"), col("score")) ++
-        (0 until d).map(i => coalesce(col(s"s_$i") === col(s"t_$i"), lit(false)).as(s"m_$i"))
+    // Shuffle 2: the best target per source record, by highest score and
+    // then smallest target row id.
     val best = scored
-      .withColumn("rn", row_number().over(w))
-      .where(col("rn") === 1)
-      .select(outCols: _*)
-
-    val rows = best.collect()
-    if (rows.isEmpty) return OverlapResult(Set.empty, 0, 0L)
+      .groupBy("srid")
+      .agg(max(struct(col("score"), (-col("trid")).as("ntrid"), col("matches"))).as("best"))
+      .select(col("best.score"), col("best.matches"))
+      .collect()
+      .map(r => (r.getInt(0), r.getSeq[Boolean](1)))
+    if (best.isEmpty) return OverlapResult(Set.empty, 0, 0L)
 
     // Modal score k' and per-attribute overlap frequency over best pairs.
-    val scoreIdx = rows.head.fieldIndex("score")
-    val modal = rows
-      .groupBy(_.getInt(scoreIdx))
+    val modal = best
+      .groupBy(_._1)
       .toSeq
-      .maxBy { case (sc, rs) => (rs.length, sc) }
+      .maxBy { case (sc, ps) => (ps.length, sc) }
       ._1
-    val attrCounts = (0 until d).map { i =>
-      val fi = rows.head.fieldIndex(s"m_$i")
-      i -> rows.count(r => !r.isNullAt(fi) && r.getBoolean(fi))
-    }
+    val attrCounts = Array.tabulate(d)(i => best.count(_._2(i)))
     val kPrime = math.max(1, modal)
-    val idAttrs = attrCounts.sortBy { case (i, c) => (-c, i) }.take(kPrime).map(_._1).toSet
-    OverlapResult(idAttrs, modal, rows.length.toLong)
+    val idAttrs = (0 until d).sortBy(i => (-attrCounts(i), i)).take(kPrime).toSet
+    OverlapResult(idAttrs, modal, best.length.toLong)
   }
 }

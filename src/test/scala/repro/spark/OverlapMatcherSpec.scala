@@ -1,7 +1,9 @@
 package repro.spark
 
+import org.apache.spark.JobCounter
+
 import repro.SparkSpec
-import repro.core.model.RunningExample
+import repro.core.model.{LocalInstance, RunningExample}
 import repro.gen.ProblemGen
 
 class OverlapMatcherSpec extends SparkSpec {
@@ -46,5 +48,39 @@ class OverlapMatcherSpec extends SparkSpec {
   test("best pair count never exceeds the source size") {
     val res = OverlapMatcher.compute(sDf, tDf, inst.attrs)
     assert(res.pairs <= inst.source.length)
+  }
+
+  private def computeOn(source: Array[Array[String]], target: Array[Array[String]]) = {
+    val i = LocalInstance(Vector.tabulate(source.head.length)(a => s"a$a"), source, target)
+    OverlapMatcher.compute(ProblemGen.toDf(spark, i, i.source), ProblemGen.toDf(spark, i, i.target), i.attrs)
+  }
+
+  test("null cells are a shared value: a table sharing only nulls finds pairs") {
+    val res = computeOn(
+      Array(Array(null, "a"), Array(null, "b")),
+      Array(Array(null, "x"), Array(null, "y")))
+    assert(res.pairs == 2)
+    assert(res.modalScore == 1)
+    assert(res.idAttrs == Set(0))
+  }
+
+  test("null cells score as equal to each other") {
+    val res = computeOn(Array(Array(null, "k")), Array(Array(null, "k")))
+    assert(res.pairs == 1)
+    assert(res.modalScore == 2)
+    assert(res.idAttrs == Set(0, 1))
+  }
+
+  test("null does not match the string \"null\"") {
+    val res = computeOn(Array(Array(null, "a")), Array(Array("null", "b")))
+    assert(res.pairs == 0 && res.idAttrs.isEmpty)
+  }
+
+  test("one compute call runs in five Spark jobs") {
+    // Two broadcast row lookups, the two shuffle rounds and the result
+    // stage. A plan change that adds a round must update this count.
+    val (res, jobs) = JobCounter(spark.sparkContext)(OverlapMatcher.compute(sDf, tDf, inst.attrs))
+    assert(res.pairs > 0)
+    assert(jobs == 5, s"$jobs jobs")
   }
 }
