@@ -1,6 +1,6 @@
 package repro.core.blocking
 
-import repro.core.model.{AttrFunc, CodeTable, LocalInstance}
+import repro.core.model.{AttrFunc, CodeTable, EncodedAttr, LocalInstance}
 
 /** One block of the blocking result Φ_H (Def. 4.4): the source and target
   * record indices, each ascending, that share a blocking index κ under the
@@ -52,10 +52,12 @@ object LocalBlocking {
     *
     * Blocks are found by partition refinement: all records start in one
     * block, and each decided attribute splits every block by the record's
-    * code, (parent block, code) ↦ child. Children are numbered in order of
-    * first occurrence, sources before targets and each by ascending index,
-    * so blocks come out in order of their first record. With no decided
-    * attributes every record falls into the single empty-index block.
+    * code, (parent block, code) ↦ child — the step [[refine]] takes once.
+    * Children are numbered in order of first occurrence, sources before
+    * targets and each by ascending index, so blocks come out in order of
+    * their first record, whatever order the attributes are refined in. With
+    * no decided attributes every record falls into the single empty-index
+    * block.
     */
   def block(inst: LocalInstance, decided: Array[(Int, AttrFunc)]): BlockingResult = {
     val ns = inst.source.length
@@ -65,25 +67,58 @@ object LocalBlocking {
     val tgtBlock = new Array[Int](nt)
     var nBlocks = 1
     val children = new LongIntMap(ns + nt)
-    var k = 0
-    while (k < decided.length) {
-      val (a, f) = decided(k)
-      val attr = inst.encoded(a)
-      val fc = new CodeTable(attr, f)
-      children.clear()
-      var i = 0
-      while (i < ns) {
-        srcBlock(i) = children.getOrAdd(pack(srcBlock(i), fc(attr.src(i))))
-        i += 1
-      }
-      var j = 0
-      while (j < nt) {
-        tgtBlock(j) = children.getOrAdd(pack(tgtBlock(j), attr.tgt(j)))
-        j += 1
-      }
-      nBlocks = children.size
-      k += 1
+    for ((a, f) <- decided) {
+      val col = inst.encoded(a)
+      nBlocks = split(col, new CodeTable(col, f), srcBlock, tgtBlock, children)
     }
+    result(srcBlock, tgtBlock, nBlocks)
+  }
+
+  /** Φ_H of a state one assignment `attr ↦ f` below the state whose
+    * blocking is `parent`, where `table` applies `f` to `attr`: one O(N)
+    * pass that splits every parent block by code. Equal, block for block and
+    * in order, to [[block]] over the parent's decided pairs plus
+    * `(attr, f)`.
+    */
+  def refine(inst: LocalInstance, parent: BlockingResult, attr: Int, table: CodeTable): BlockingResult = {
+    val srcBlock = new Array[Int](inst.source.length)
+    val tgtBlock = new Array[Int](inst.target.length)
+    var b = 0
+    while (b < parent.blocks.length) {
+      parent.blocks(b).src.foreach(srcBlock(_) = b)
+      parent.blocks(b).tgt.foreach(tgtBlock(_) = b)
+      b += 1
+    }
+    val children = new LongIntMap(srcBlock.length + tgtBlock.length)
+    result(srcBlock, tgtBlock, split(inst.encoded(attr), table, srcBlock, tgtBlock, children))
+  }
+
+  /** One refinement step in place: each record's block becomes the child
+    * (its block, its code under `table`), numbered by first occurrence.
+    * Returns the number of children.
+    */
+  private def split(
+      col: EncodedAttr,
+      table: CodeTable,
+      srcBlock: Array[Int],
+      tgtBlock: Array[Int],
+      children: LongIntMap,
+  ): Int = {
+    children.clear()
+    var i = 0
+    while (i < srcBlock.length) {
+      srcBlock(i) = children.getOrAdd(pack(srcBlock(i), table(col.src(i))))
+      i += 1
+    }
+    var j = 0
+    while (j < tgtBlock.length) {
+      tgtBlock(j) = children.getOrAdd(pack(tgtBlock(j), col.tgt(j)))
+      j += 1
+    }
+    children.size
+  }
+
+  private def result(srcBlock: Array[Int], tgtBlock: Array[Int], nBlocks: Int): BlockingResult = {
     val srcs = members(srcBlock, nBlocks)
     val tgts = members(tgtBlock, nBlocks)
     BlockingResult(Array.tabulate(nBlocks)(b => Block(srcs(b), tgts(b))))

@@ -22,9 +22,16 @@ trait MetaFunction extends Serializable {
   /** Instantiations consistent with the single example `in ↦ out`. */
   def induce(in: String, out: String): List[AttrFunc]
 
-  /** `induce` plus the safety check `f(in) == out`. */
+  /** `induce` plus the safety check `f(in) == out`.
+    *
+    * Families learn from the text of their example, which a `null` side
+    * does not have, so `induce` never sees one: an example with a `null`
+    * side induces only the identity, and only when both sides are `null`.
+    */
   final def induceVerified(in: String, out: String): List[AttrFunc] =
-    induce(in, out).filter(f => f(in) == out)
+    if (in == null || out == null) {
+      if (in == null && out == null && (this eq MetaFunctions.IdentityMeta)) List(Funcs.Identity) else Nil
+    } else induce(in, out).filter(f => f(in) == out)
 }
 
 object MetaFunctions {

@@ -67,10 +67,11 @@ object EncodedAttr {
   * `attr.size`, equal outputs sharing one. Such an output matches no value
   * of the instance, so it never equals a target code.
   *
-  * One table serves one call (a blocking, a cost, a ranking): it is cheap
-  * to build and holds no state beyond the call.
+  * A table only grows: a code once filled keeps its output, so one table
+  * can serve every call that applies `f` to the attribute (see
+  * [[CodeTables]]).
   */
-final class CodeTable(attr: EncodedAttr, f: AttrFunc) {
+final class CodeTable(attr: EncodedAttr, val f: AttrFunc) {
   private val identity = f.isIdentity
   private val table = if (identity) null else new Array[Int](attr.size) // code + 1; 0 = not yet run
   private var fresh: java.util.HashMap[String, Integer] = _
@@ -100,5 +101,24 @@ final class CodeTable(attr: EncodedAttr, f: AttrFunc) {
         code
       }
     }
+  }
+}
+
+/** The [[CodeTable]]s of one search run, one per (attribute, function
+  * object), so a function the run applies again (a decided function on
+  * every refinement, a candidate ranked and then costed) runs at most once
+  * per distinct source code in the whole run.
+  *
+  * Tables are keyed by object identity: no `equals`/`hashCode` of an
+  * `AttrFunc` (a value map hashes all its entries) ever runs. A function
+  * built afresh on every call, such as a greedy map, gains nothing here and
+  * should get its own `CodeTable` instead.
+  */
+final class CodeTables(inst: LocalInstance) {
+  private val byAttr = new Array[java.util.IdentityHashMap[AttrFunc, CodeTable]](inst.d)
+
+  def apply(attr: Int, f: AttrFunc): CodeTable = {
+    if (byAttr(attr) == null) byAttr(attr) = new java.util.IdentityHashMap[AttrFunc, CodeTable]()
+    byAttr(attr).computeIfAbsent(f, _ => new CodeTable(inst.encoded(attr), f))
   }
 }

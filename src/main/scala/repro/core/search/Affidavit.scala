@@ -5,7 +5,7 @@ import scala.util.Random
 
 import repro.core.blocking.{BlockingResult, LocalBlocking}
 import repro.core.functions.Funcs
-import repro.core.model.{AttrFunc, CodeTable, Costs, Explanation, LocalInstance}
+import repro.core.model.{AttrFunc, CodeTable, CodeTables, Costs, Explanation, LocalInstance}
 
 /** Result of one Affidavit run. */
 final case class AffidavitResult(
@@ -29,11 +29,26 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
 
   private var evaluated = 0
 
+  // Memos of this run (DESIGN.md §2): one code table per (attribute,
+  // function object) and one candidate list per induced example. They die
+  // with the run, so every run pays for its own.
+  private val tables = new CodeTables(inst)
+  private val induced = new InducedCandidates(inst, cfg.metas)
+
   /** Cost of a (partial or end) state per Def. 4.6 (see DESIGN.md §3). */
-  def stateCost(h: State): Double = {
+  def stateCost(h: State): Double = cost(h, blockingOf(h))
+
+  private def cost(h: State, blocking: BlockingResult): Double = {
     evaluated += 1
-    val blocking = LocalBlocking.block(inst, h.decided)
     Costs.stateCost(inst.d, h.cf, blocking.ct, blocking.cs, inst.delta, cfg.alpha, cfg.scaleRecordBound)
+  }
+
+  /** Φ_H of a state: one refinement of its parent's blocking for a state
+    * the search derived, a full blocking otherwise.
+    */
+  private def blockingOf(h: State): BlockingResult = h.from match {
+    case Some(State.Step(parent, attr, table)) => LocalBlocking.refine(inst, parent, attr, table)
+    case None                                  => LocalBlocking.block(inst, h.decided)
   }
 
   /** Cost of `parent + (attr ↦ f)` computed by refining the parent's
@@ -43,10 +58,13 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
     * one code form one child block; a source whose output is absent from
     * the dictionary matches no target and counts in `cs` on its own.
     */
-  def refinedCost(h: State, parentBlocking: BlockingResult, attr: Int, f: AttrFunc): Double = {
+  def refinedCost(h: State, parentBlocking: BlockingResult, attr: Int, f: AttrFunc): Double =
+    refinedCost(h, parentBlocking, attr, new CodeTable(inst.encoded(attr), f))
+
+  /** [[refinedCost]] of the function `fc` applies to `attr`. */
+  private def refinedCost(h: State, parentBlocking: BlockingResult, attr: Int, fc: CodeTable): Double = {
     evaluated += 1
     val col = inst.encoded(attr)
-    val fc = new CodeTable(col, f)
     val balance = new Array[Int](col.size) // sources − targets per code in the current block
     val seenIn = new Array[Int](col.size) // block index + 1 of the last sighting
     val touched = new Array[Int](col.size) // codes seen in the current block
@@ -87,7 +105,7 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
       }
       bi += 1
     }
-    Costs.stateCost(inst.d, h.cf + f.psi, ct, cs, inst.delta, cfg.alpha, cfg.scaleRecordBound)
+    Costs.stateCost(inst.d, h.cf + fc.f.psi, ct, cs, inst.delta, cfg.alpha, cfg.scaleRecordBound)
   }
 
   /** Init-Start-States for the configured strategy. */
@@ -116,7 +134,7 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
 
     end match {
       case Some((h, c)) =>
-        val e = Affidavit.toExplanation(inst, h)
+        val e = Affidavit.toExplanation(inst, h, blockingOf(h))
         AffidavitResult(e, Costs.explanationCost(inst, e, cfg.alpha), polls, evaluated)
       case None =>
         // Queue exhausted / poll budget hit: fall back to the trivial
@@ -132,10 +150,11 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
 
   /** Extensions(H) of Algorithm 1, returned with their (exact) costs.
     * Candidate costs are computed by refining the parent blocking on the
-    * one new attribute instead of re-blocking from scratch.
+    * one new attribute instead of re-blocking from scratch, and each kept
+    * extension carries that blocking, so polling it costs one refinement.
     */
   def extensions(h: State): Seq[(State, Double)] = {
-    val blocking = LocalBlocking.block(inst, h.decided)
+    val blocking = blockingOf(h)
     val rnd = new Random(cfg.seed ^ scala.util.hashing.MurmurHash3.stringHash(h.signature).toLong)
 
     // Order-By-Indeterminacy: most determined (fewest distinct in-block
@@ -158,13 +177,14 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
       for (a <- now) {
         val g = Sampling.greedyMap(inst, alignment, a)
         val cg = refinedCost(h, blocking, a, g)
-        val candidates = Induction.induceCandidates(inst, blocking, a, cfg, rnd)
+        val candidates = Induction.induceCandidates(inst, blocking, a, cfg, rnd, induced, tables)
         var keptAny = false
         for (f <- candidates) {
-          val cf = refinedCost(h, blocking, a, f)
+          val table = tables(a, f)
+          val cf = refinedCost(h, blocking, a, table)
           cfg.trace(
             f"  ext attr=${inst.attrs(a)}%-16s cand=${f.describe.take(40)}%-42s c=$cf%10.1f greedy=$cg%10.1f kept=${cf < cg}")
-          if (cf < cg) { ext += ((h.assign(a, f), cf)); keptAny = true }
+          if (cf < cg) { ext += ((h.extend(blocking, a, table), cf)); keptAny = true }
         }
         if (!keptAny) mapAttrs += a
       }
@@ -174,23 +194,31 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
       // Every undecided attribute is map-suited (□): finalize by resolving
       // the maps one after another, re-sampling the random alignment after
       // each replacement so the next map respects the previous assignment.
-      val end = finalizeMaps(h, mapAttrs.toVector, rnd)
-      Seq((end, stateCost(end)))
+      val (end, endBlocking) = finalizeMaps(h, blocking, mapAttrs.toVector, rnd)
+      Seq((end, cost(end, endBlocking)))
     } else ext.toSeq
   }
 
   /** Finalize: replace each □ with a greedy value mapping from a fresh
     * random alignment (§4.3). Returns an end state.
     */
-  def finalizeMaps(h: State, mapAttrs: Vector[Int], rnd: Random): State = {
-    var cur = h
-    for (a <- mapAttrs) {
-      val blocking = LocalBlocking.block(inst, cur.decided)
-      val alignment = Sampling.randomAlignment(blocking, rnd)
-      cur = cur.assign(a, Sampling.greedyMap(inst, alignment, a))
+  def finalizeMaps(h: State, mapAttrs: Vector[Int], rnd: Random): State =
+    finalizeMaps(h, blockingOf(h), mapAttrs, rnd)._1
+
+  /** [[finalizeMaps]] from `h`'s blocking, refined by each map in turn;
+    * returns the end state and its blocking. Each map gets a table of its
+    * own: it is built for this one state.
+    */
+  private def finalizeMaps(
+      h: State,
+      blocking: BlockingResult,
+      mapAttrs: Vector[Int],
+      rnd: Random,
+  ): (State, BlockingResult) =
+    mapAttrs.foldLeft((h, blocking)) { case ((cur, b), a) =>
+      val g = new CodeTable(inst.encoded(a), Sampling.greedyMap(inst, Sampling.randomAlignment(b, rnd), a))
+      (cur.extend(b, a, g), LocalBlocking.refine(inst, b, a, g))
     }
-    cur
-  }
 }
 
 object Affidavit {
@@ -200,10 +228,13 @@ object Affidavit {
     * targets agree on every attribute, so pairing is arbitrary — leftover
     * sources are deleted, leftover targets inserted.
     */
-  def toExplanation(inst: LocalInstance, endState: State): Explanation = {
+  def toExplanation(inst: LocalInstance, endState: State): Explanation =
+    toExplanation(inst, endState, LocalBlocking.block(inst, endState.decided))
+
+  /** [[toExplanation]] given the end state's blocking. */
+  private def toExplanation(inst: LocalInstance, endState: State, blocking: BlockingResult): Explanation = {
     require(endState.isEnd, "toExplanation requires an end state")
     val funcs = endState.slots.map(_.asInstanceOf[Slot.Decided].f)
-    val blocking = LocalBlocking.block(inst, endState.decided)
 
     val alignment = Vector.newBuilder[(Int, Int)]
     val deleted = Vector.newBuilder[Int]

@@ -4,7 +4,8 @@ import scala.collection.mutable
 import scala.util.Random
 
 import repro.core.blocking.{Block, BlockingResult}
-import repro.core.model.{AttrFunc, CodeTable, LocalInstance}
+import repro.core.functions.MetaFunction
+import repro.core.model.{AttrFunc, CodeTables, LocalInstance}
 
 /** Function-candidate induction and ranking (§4.4.2, §4.4.3). */
 object Induction {
@@ -12,6 +13,9 @@ object Induction {
   /** Induce, significance-filter and rank candidate functions for one
     * attribute from the blocking result; returns the best `beta` candidates
     * in rank order.
+    *
+    * `induced` and `tables` are the memos of the search run; results do not
+    * depend on what they already hold.
     */
   def induceCandidates(
       inst: LocalInstance,
@@ -19,6 +23,8 @@ object Induction {
       attr: Int,
       cfg: AffidavitConfig,
       rnd: Random,
+      induced: InducedCandidates,
+      tables: CodeTables,
   ): List[AttrFunc] = {
     val mixed = blocking.mixed
     if (mixed.isEmpty) return Nil
@@ -57,28 +63,25 @@ object Induction {
       srcCodesCache(b)
     }
 
-    // Candidates are numbered by first generation, one id per `describe`;
-    // a counted candidate keeps the function of its latest generation. The
-    // functions one (input, output) code pair generates are computed once.
+    // Candidates are numbered by first generation in this call, one id per
+    // `describe`; a counted candidate keeps the function of its latest
+    // generation.
     val ids = mutable.HashMap.empty[String, Int]
     val cands = mutable.ArrayBuffer.empty[AttrFunc]
     val counts = mutable.ArrayBuffer.empty[Int]
     val lastExample = mutable.ArrayBuffer.empty[Int] // last sampled example that counted the id
-    val generated = mutable.HashMap.empty[Long, Array[(Int, AttrFunc)]]
+    val generated = mutable.LongMap.empty[Array[(Int, AttrFunc)]]
     def generate(in: Int, out: Int): Array[(Int, AttrFunc)] =
-      generated.getOrElseUpdate((in.toLong << 32) | out.toLong, {
-        val inV = col.dict(in)
-        val outV = col.dict(out)
-        cfg.metas.iterator.flatMap(_.induceVerified(inV, outV)).map { f =>
-          val id = ids.getOrElseUpdate(f.describe, {
+      generated.getOrElseUpdate((in.toLong << 32) | out.toLong,
+        induced(attr, in, out).map { case (describe, f) =>
+          val id = ids.getOrElseUpdate(describe, {
             cands += f
             counts += 0
             lastExample += -1
             cands.length - 1
           })
           (id, f)
-        }.toArray
-      })
+        })
 
     var si = 0
     while (si < sampled.length) {
@@ -111,9 +114,19 @@ object Induction {
     if (survivors.isEmpty) return Nil
 
     // --- ranking by sampled histogram overlap minus description length ---
-    val ranked = rankByOverlap(inst, mixed, attr, survivors, cfg, rnd)
+    val ranked = rankByOverlap(inst, mixed, attr, survivors, cfg, rnd, tables)
     ranked.take(cfg.beta).toList
   }
+
+  /** [[induceCandidates]] with memos that live only for this call. */
+  def induceCandidates(
+      inst: LocalInstance,
+      blocking: BlockingResult,
+      attr: Int,
+      cfg: AffidavitConfig,
+      rnd: Random,
+  ): List[AttrFunc] =
+    induceCandidates(inst, blocking, attr, cfg, rnd, new InducedCandidates(inst, cfg.metas), new CodeTables(inst))
 
   /** Rank candidates by the estimated number of records they would align:
     * sample k' source records, dedupe their blocks, and on each block
@@ -129,6 +142,7 @@ object Induction {
       candidates: Array[AttrFunc],
       cfg: AffidavitConfig,
       rnd: Random,
+      tables: CodeTables,
   ): Array[AttrFunc] = {
     val col = inst.encoded(attr)
     // Pool of (block, source record) pairs, as the block index repeated
@@ -151,7 +165,7 @@ object Induction {
     // are built once; each candidate re-buckets the source histogram
     // through its code table, where outputs absent from the dictionary
     // match no target and drop out.
-    val tables = candidates.map(new CodeTable(col, _))
+    val candTables = candidates.map(tables(attr, _))
     val overlaps = new Array[Long](candidates.length)
     val tgtCount = new Array[Int](col.size)
     val srcCount = new Array[Int](col.size)
@@ -170,7 +184,7 @@ object Induction {
       }
       var ci = 0
       while (ci < candidates.length) {
-        val table = tables(ci)
+        val table = candTables(ci)
         var nHits = 0
         var k = 0
         while (k < nCodes) {
@@ -200,5 +214,25 @@ object Induction {
     candidates.zipWithIndex
       .sortBy { case (f, i) => (-(overlaps(i) - f.psi).toDouble, f.psi, f.describe) }
       .map(_._1)
+  }
+}
+
+/** The candidates `induceVerified` yields for each (attribute, input code,
+  * output code) example of one instance, each with its `describe`, in
+  * generation order. One search run keeps one, so an example seen in an
+  * earlier state is not induced again, and a candidate keeps one function
+  * object for the run (which is what [[CodeTables]] is keyed by).
+  */
+final class InducedCandidates(inst: LocalInstance, metas: List[MetaFunction]) {
+  private val byAttr = new Array[mutable.LongMap[Array[(String, AttrFunc)]]](inst.d)
+
+  def apply(attr: Int, in: Int, out: Int): Array[(String, AttrFunc)] = {
+    if (byAttr(attr) == null) byAttr(attr) = mutable.LongMap.empty
+    byAttr(attr).getOrElseUpdate((in.toLong << 32) | out.toLong, {
+      val col = inst.encoded(attr)
+      val inV = col.dict(in)
+      val outV = col.dict(out)
+      metas.iterator.flatMap(_.induceVerified(inV, outV)).map(f => (f.describe, f)).toArray
+    })
   }
 }

@@ -1,6 +1,7 @@
 package repro.core.search
 
-import repro.core.model.AttrFunc
+import repro.core.blocking.BlockingResult
+import repro.core.model.{AttrFunc, CodeTable}
 
 /** Assignment of one attribute inside a search state (Def. 4.1). */
 sealed trait Slot
@@ -9,18 +10,24 @@ object Slot {
   /** `∗` — the function of the attribute is still undecided. */
   case object Star extends Slot
 
-  /** `□` — the attribute has been identified as needing a value mapping;
-    * resolved at the very end of the search (only ever exists transiently
-    * inside `Extensions`/`Finalize`, never in the queue).
-    */
-  case object MapPending extends Slot
-
   /** A concrete function assignment. */
   final case class Decided(f: AttrFunc) extends Slot
 }
 
-/** A search state H ∈ H_I: a d-tuple of slots. */
-final case class State(slots: Vector[Slot]) {
+/** A search state H ∈ H_I: a d-tuple of slots, each undecided (`∗`) or
+  * decided. The `□` of map-suited attributes (§4.3) never appears in a
+  * state: `Affidavit#extensions` keeps those attributes in a local list and
+  * finalizes them at once.
+  *
+  * @param from for a state the search derived from a polled parent (a kept
+  *             extension or a finalized end state): the parent's blocking
+  *             and the one assignment added to it, so the state's own
+  *             blocking is one refinement away. Not part of equality,
+  *             hashing or the signature; `None` for every state built by
+  *             [[assign]]. A queued state holds its parent's blocking, so
+  *             the search keeps at most one blocking per queued state.
+  */
+final case class State(slots: Vector[Slot])(val from: Option[State.Step] = None) {
   import Slot._
 
   def d: Int = slots.length
@@ -38,7 +45,13 @@ final case class State(slots: Vector[Slot]) {
       (i, slots(i).asInstanceOf[Decided].f)
     }.toArray
 
-  def assign(attr: Int, f: AttrFunc): State = copy(slots = slots.updated(attr, Decided(f)))
+  def assign(attr: Int, f: AttrFunc): State = State(slots.updated(attr, Decided(f)))()
+
+  /** [[assign]] of `table`'s function, remembering this state's blocking
+    * for the child.
+    */
+  def extend(blocking: BlockingResult, attr: Int, table: CodeTable): State =
+    State(slots.updated(attr, Decided(table.f)))(Some(State.Step(blocking, attr, table)))
 
   /** Σ ψ over decided assignments — the c_f component of the state cost. */
   def cf: Int = slots.collect { case Decided(f) => f.psi }.sum
@@ -50,6 +63,11 @@ final case class State(slots: Vector[Slot]) {
 
 object State {
 
+  /** The assignment `attr ↦ table.f` that made a state from a parent whose
+    * blocking is `parent`.
+    */
+  final case class Step(parent: BlockingResult, attr: Int, table: CodeTable)
+
   /** H^∅-style blank state. */
-  def blank(d: Int): State = State(Vector.fill(d)(Slot.Star))
+  def blank(d: Int): State = State(Vector.fill(d)(Slot.Star))()
 }

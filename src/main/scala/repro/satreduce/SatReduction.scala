@@ -69,7 +69,7 @@ object SatReduction {
       (Slot.Decided(Funcs.Identity): Slot) +:
         (0 until nVars)
           .map(v => Slot.Decided(if (interp(v)) Funcs.Identity else Funcs.BoolNeg): Slot)
-          .toVector)
+          .toVector)()
 
   /** Brute-force optimal solver over the 2^d interpretations; returns the
     * minimum number of deleted source records and one witnessing

@@ -129,6 +129,18 @@ class AffidavitSpec extends AnyFunSuite {
     assert(res.cost == Costs.explanationCost(i, res.explanation, 0.5))
   }
 
+  test("nulls in a transformed attribute are explained validly at their true cost") {
+    // Every third name is null on both sides; the others are uppercased, so
+    // in-block examples include null -> null next to name -> NAME.
+    def name(i: Int, f: String => String) = if (i % 3 == 0) null else f(s"name$i")
+    val src = (1 to 30).map(i => Seq(s"k$i", name(i, identity)))
+    val tgt = (1 to 30).map(i => Seq(s"k$i", name(i, _.toUpperCase))).reverse
+    val i = inst(src, tgt, "key", "name")
+    val res = Affidavit.run(i, AffidavitConfig.hidConfig(8), InitStrategy.Id)
+    assert(res.explanation.isValidFor(i))
+    assert(res.cost == Costs.explanationCost(i, res.explanation, 0.5))
+  }
+
   test("values containing U+0001 are explained validly at their true cost") {
     val i = inst(Seq(Seq("x\u0001y", "z")), Seq(Seq("x", "y\u0001z")), "a", "b")
     val res = Affidavit.run(i, AffidavitConfig.hidConfig(1), InitStrategy.Id)

@@ -5,9 +5,9 @@ import scala.util.Random
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.core.blocking.LocalBlocking
+import repro.core.blocking.{BlockingResult, LocalBlocking}
 import repro.core.functions.Funcs._
-import repro.core.model.{AttrFunc, LocalInstance, RunningExample}
+import repro.core.model.{AttrFunc, CodeTables, LocalInstance, RunningExample}
 import repro.core.search.{Affidavit, AffidavitConfig, Sampling, State}
 import repro.gen.{Dataset, ProblemGen}
 
@@ -44,6 +44,9 @@ class BlockingOracleSpec extends AnyFunSuite {
     Seq(Identity, Const("never-seen"), Const(values.head), Add(BigDecimal(1)), Add(BigDecimal(-0.5))) ++ maps ++ extra
   }
 
+  private def blocksOf(b: BlockingResult): Seq[(Seq[Int], Seq[Int])] =
+    b.blocks.toSeq.map(b => (b.src.toSeq, b.tgt.toSeq))
+
   /** Random decided assignments over `inst`, each checked against the
     * oracle, and every one-attribute extension's refined cost checked
     * against the cost of the extended state.
@@ -51,11 +54,7 @@ class BlockingOracleSpec extends AnyFunSuite {
   private def checkInstance(inst: LocalInstance, rnd: Random, extra: Int => Seq[AttrFunc], rounds: Int): Unit = {
     val aff = new Affidavit(inst, AffidavitConfig(seed = 1))
     for (_ <- 1 to rounds) {
-      var h = State.blank(inst.d)
-      for (a <- 0 until inst.d if rnd.nextDouble() < 0.4) {
-        val fs = funcsFor(inst, a, rnd, extra(a))
-        h = h.assign(a, fs(rnd.nextInt(fs.length)))
-      }
+      val h = randomState(inst, rnd, extra)
       assert(engineBlocks(inst, h.decided) == oracleBlocks(inst, h.decided), h.signature)
       val blocking = LocalBlocking.block(inst, h.decided)
       for (a <- h.undecided; f <- funcsFor(inst, a, rnd, extra(a))) {
@@ -65,38 +64,85 @@ class BlockingOracleSpec extends AnyFunSuite {
     }
   }
 
-  test("running example: blocks and refined costs match the oracle") {
-    val inst = RunningExample.instance
-    val known: Int => Seq[AttrFunc] = {
-      case 2 => Seq(PrefixReplace("9999123", "2018070"))
-      case 4 => Seq(Div(BigDecimal(1000)))
-      case 5 => Seq(Const("k $"))
-      case _ => Seq(Upper)
+  private def randomState(inst: LocalInstance, rnd: Random, extra: Int => Seq[AttrFunc]): State = {
+    var h = State.blank(inst.d)
+    for (a <- 0 until inst.d if rnd.nextDouble() < 0.4) {
+      val fs = funcsFor(inst, a, rnd, extra(a))
+      h = h.assign(a, fs(rnd.nextInt(fs.length)))
     }
-    checkInstance(inst, new Random(11), known, rounds = 40)
+    h
   }
 
-  test("generated instances: blocks and refined costs match the oracle") {
-    val rnd = new Random(5)
-    for (seed <- 1 to 6) {
+  /** `refine(block(D), a, f)` against `block(D :+ (a, f))` for random D and
+    * every one-attribute extension. All refinements of an instance share
+    * one set of code tables, and each table is used again on a second
+    * parent (the blank state's blocking), so tables already filled by an
+    * earlier call must give the same blocks.
+    */
+  private def checkRefine(inst: LocalInstance, rnd: Random, extra: Int => Seq[AttrFunc], rounds: Int): Unit = {
+    val tables = new CodeTables(inst)
+    val root = LocalBlocking.block(inst, Array.empty[(Int, AttrFunc)])
+    for (_ <- 1 to rounds) {
+      val h = randomState(inst, rnd, extra)
+      val blocking = LocalBlocking.block(inst, h.decided)
+      for (a <- h.undecided; f <- funcsFor(inst, a, rnd, extra(a))) {
+        val refined = LocalBlocking.refine(inst, blocking, a, tables(a, f))
+        val extended = h.decided :+ ((a, f))
+        assert(blocksOf(refined) == engineBlocks(inst, extended), h.assign(a, f).signature)
+        assert(blocksOf(refined) == oracleBlocks(inst, extended), h.assign(a, f).signature)
+        assert(blocksOf(LocalBlocking.refine(inst, root, a, tables(a, f))) == engineBlocks(inst, Array((a, f))))
+      }
+    }
+  }
+
+  private val runningExampleFuncs: Int => Seq[AttrFunc] = {
+    case 2 => Seq(PrefixReplace("9999123", "2018070"))
+    case 4 => Seq(Div(BigDecimal(1000)))
+    case 5 => Seq(Const("k $"))
+    case _ => Seq(Upper)
+  }
+
+  /** Instances generated from a small table whose last attribute holds
+    * values with U+0001 in them, each with the functions it was made with.
+    * Drawn from `rnd` one at a time, between the checks that use them.
+    */
+  private def generatedInstances(rnd: Random): Iterator[(LocalInstance, Int => Seq[AttrFunc])] =
+    (1 to 6).iterator.map { seed =>
       val rows = Array.fill(60)(Array(
         s"c${rnd.nextInt(4)}",
         (rnd.nextInt(9) * 10).toString,
         s"name${rnd.nextInt(12)}",
         s"x${rnd.nextInt(3)}\u0001${rnd.nextInt(2)}"))
       val p = ProblemGen.generate(Dataset("toy", Vector("cat", "num", "name", "sep"), rows), 0.3, 0.5, seed)
-      checkInstance(p.inst, rnd, a => Seq(p.appliedFuncs.lift(a).getOrElse(Identity)), rounds = 15)
+      (p.inst, (a: Int) => Seq(p.appliedFuncs.lift(a).getOrElse(Identity)))
     }
+
+  /** Random tables over `null`, `"null"` and values with U+0001 in them. */
+  private def nullTables(rnd: Random): Iterator[LocalInstance] = {
+    val values = Array[String](null, "null", "a", "1", "2", "x\u0001", "\u0001")
+    def table(n: Int) = Array.fill(n)(Array.fill(3)(values(rnd.nextInt(values.length))))
+    Iterator.fill(10)(LocalInstance(Vector("a", "b", "c"), table(1 + rnd.nextInt(12)), table(rnd.nextInt(12))))
+  }
+
+  test("running example: blocks and refined costs match the oracle") {
+    checkInstance(RunningExample.instance, new Random(11), runningExampleFuncs, rounds = 40)
+  }
+
+  test("generated instances: blocks and refined costs match the oracle") {
+    val rnd = new Random(5)
+    for ((inst, funcs) <- generatedInstances(rnd)) checkInstance(inst, rnd, funcs, rounds = 15)
   }
 
   test("random tables with null and \"null\": blocks and refined costs match the oracle") {
     val rnd = new Random(9)
-    val values = Array[String](null, "null", "a", "1", "2", "x\u0001", "\u0001")
-    def table(n: Int) = Array.fill(n)(Array.fill(3)(values(rnd.nextInt(values.length))))
-    for (_ <- 1 to 10) {
-      val inst = LocalInstance(Vector("a", "b", "c"), table(1 + rnd.nextInt(12)), table(rnd.nextInt(12)))
-      checkInstance(inst, rnd, _ => Seq(Upper, Const(null)), rounds = 8)
-    }
+    for (inst <- nullTables(rnd)) checkInstance(inst, rnd, _ => Seq(Upper, Const(null)), rounds = 8)
+  }
+
+  test("refining by one attribute equals blocking on the extended assignment") {
+    checkRefine(RunningExample.instance, new Random(12), runningExampleFuncs, rounds = 20)
+    val rnd = new Random(6)
+    for ((inst, funcs) <- generatedInstances(rnd)) checkRefine(inst, rnd, funcs, rounds = 8)
+    for (inst <- nullTables(rnd)) checkRefine(inst, rnd, _ => Seq(Upper, Const(null)), rounds = 6)
   }
 
   test("shuffle permutes and draws like Random.shuffle") {

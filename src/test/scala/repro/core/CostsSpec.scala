@@ -33,7 +33,7 @@ class CostsSpec extends AnyFunSuite {
   }
 
   test("state cost of an end state equals its explanation cost (coherence)") {
-    val endState = State(RunningExample.e1.funcs.map(f => Slot.Decided(f): Slot))
+    val endState = State(RunningExample.e1.funcs.map(f => Slot.Decided(f): Slot))()
     val blocking = LocalBlocking.block(inst, endState.decided)
     val stateCost =
       Costs.stateCost(inst.d, endState.cf, blocking.ct, blocking.cs, inst.delta, 0.5)

@@ -24,6 +24,14 @@ class MetaFunctionTableSpec extends AnyFunSuite with PropHelpers {
       if (m != IdentityMeta) assert(m.induceVerified("abc", "abc").isEmpty, m.name)
   }
 
+  test("an example with a null side induces only the identity, from null -> null") {
+    for (m <- MetaFunctions.default) {
+      assert(m.induceVerified(null, "abc").isEmpty, m.name)
+      assert(m.induceVerified("abc", null).isEmpty, m.name)
+      assert(m.induceVerified(null, null) == (if (m == IdentityMeta) List(Identity) else Nil), m.name)
+    }
+  }
+
   test("uppercasing is induced from a case-changing example") {
     assert(UpperMeta.induceVerified("Sap", "SAP") == List(Upper))
   }
