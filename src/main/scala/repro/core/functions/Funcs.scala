@@ -132,7 +132,7 @@ object Funcs {
     def apply(x: String): String =
       if (x != null && x.startsWith(y)) z + x.substring(y.length) else x
     val psi = 2
-    def describe = s"prefixReplace($y->$z)"
+    def describe = s"prefixReplace(${escapeArrow(y)}->${escapeArrow(z)})"
   }
 
   /** `x ◦ y ↦ x ◦ z`, otherwise `x ↦ x`, ψ = 2. */
@@ -142,8 +142,15 @@ object Funcs {
     def apply(x: String): String =
       if (x != null && x.endsWith(y)) x.substring(0, x.length - y.length) + z else x
     val psi = 2
-    def describe = s"suffixReplace($y->$z)"
+    def describe = s"suffixReplace(${escapeArrow(y)}->${escapeArrow(z)})"
   }
+
+  /** `s` with each backslash and each `->` escaped by a backslash, so
+    * `y->z` built from escaped parts names exactly one pair (y, z), and a
+    * `describe` with it names one function. Strings without either are
+    * unchanged.
+    */
+  private def escapeArrow(s: String): String = s.replace("\\", "\\\\").replace("->", "\\->")
 
   /** Explicit value mapping `x_i ↦ y_i`, otherwise `x ↦ x`.
     *

@@ -5,9 +5,9 @@ import repro.core.model.{AttrFunc, Num}
 /** A meta function: a family of transformations whose parameters are
   * learnable from a single input-output example (§4.4.1).
   *
-  * `induce(in, out)` returns every instantiation `f` of the family with
-  * `f(in) == out` *and a visible effect* on this example (`in != out`); the
-  * only family induced from an unchanged example is the identity. This
+  * `induceVerified(in, out)` returns every instantiation `f` of the family
+  * with `f(in) == out` *and a visible effect* on this example (`in != out`);
+  * the only function induced from an unchanged example is the identity. This
   * matches the paper's sampling model: the optimal function is only
   * generated from examples "in which the effect of the optimal function is
   * actually visible", which is what the fraction θ estimates.
@@ -19,57 +19,59 @@ import repro.core.model.{AttrFunc, Num}
 trait MetaFunction extends Serializable {
   def name: String
 
-  /** Instantiations consistent with the single example `in ↦ out`. */
+  /** Instantiations consistent with the single example `in ↦ out`, where
+    * `in != out` and neither is `null` (see [[induceVerified]]).
+    */
   def induce(in: String, out: String): List[AttrFunc]
 
   /** `induce` plus the safety check `f(in) == out`.
     *
-    * Families learn from the text of their example, which a `null` side
-    * does not have, so `induce` never sees one: an example with a `null`
-    * side induces only the identity, and only when both sides are `null`.
+    * An unchanged example (`in == out`, `null` sides included) induces only
+    * the identity. Families learn from the text of their example, which a
+    * `null` side does not have, so an example with one `null` side induces
+    * nothing. `induce` sees only changed examples without `null`.
     */
   final def induceVerified(in: String, out: String): List[AttrFunc] =
-    if (in == null || out == null) {
-      if (in == null && out == null && (this eq MetaFunctions.IdentityMeta)) List(Funcs.Identity) else Nil
-    } else induce(in, out).filter(f => f(in) == out)
+    if (in == out) { if (this eq MetaFunctions.IdentityMeta) List(Funcs.Identity) else Nil }
+    else if (in == null || out == null) Nil
+    else induce(in, out).filter(f => f(in) == out)
 }
 
 object MetaFunctions {
   import Funcs._
 
+  /** Induced by [[MetaFunction.induceVerified]] itself, from unchanged
+    * examples only.
+    */
   case object IdentityMeta extends MetaFunction {
     val name = "identity"
-    def induce(in: String, out: String): List[AttrFunc] =
-      if (in == out) List(Identity) else Nil
+    def induce(in: String, out: String): List[AttrFunc] = Nil
   }
 
   case object UpperMeta extends MetaFunction {
     val name = "uppercasing"
     def induce(in: String, out: String): List[AttrFunc] =
-      if (in != out && in.toUpperCase == out) List(Upper) else Nil
+      if (in.toUpperCase == out) List(Upper) else Nil
   }
 
   case object LowerMeta extends MetaFunction {
     val name = "lowercasing"
     def induce(in: String, out: String): List[AttrFunc] =
-      if (in != out && in.toLowerCase == out) List(Lower) else Nil
+      if (in.toLowerCase == out) List(Lower) else Nil
   }
 
   case object ConstMeta extends MetaFunction {
     val name = "constant"
-    def induce(in: String, out: String): List[AttrFunc] =
-      if (in != out) List(Const(out)) else Nil
+    def induce(in: String, out: String): List[AttrFunc] = List(Const(out))
   }
 
   case object AddMeta extends MetaFunction {
     val name = "addition"
     def induce(in: String, out: String): List[AttrFunc] =
-      if (in == out) Nil
-      else
-        (Num.parse(in), Num.parse(out)) match {
-          case (Some(a), Some(b)) => List(Add(b - a))
-          case _                  => Nil
-        }
+      (Num.parse(in), Num.parse(out)) match {
+        case (Some(a), Some(b)) => List(Add(b - a))
+        case _                  => Nil
+      }
   }
 
   /** Division `x ↦ x/y` with `y = in/out`, and its inverse, multiplication
@@ -79,13 +81,11 @@ object MetaFunctions {
   case object DivMulMeta extends MetaFunction {
     val name = "division"
     def induce(in: String, out: String): List[AttrFunc] =
-      if (in == out) Nil
-      else
-        (Num.parse(in), Num.parse(out)) match {
-          case (Some(a), Some(b)) if a.signum != 0 && b.signum != 0 =>
-            List(Div(a(Num.Ctx) / b), Mul(b(Num.Ctx) / a))
-          case _ => Nil
-        }
+      (Num.parse(in), Num.parse(out)) match {
+        case (Some(a), Some(b)) if a.signum != 0 && b.signum != 0 =>
+          List(Div(a(Num.Ctx) / b), Mul(b(Num.Ctx) / a))
+        case _ => Nil
+      }
   }
 
   /** Induces the minimal mask: the first `|in| − lcs(in,out)` characters of
@@ -95,7 +95,7 @@ object MetaFunctions {
   case object FrontMaskMeta extends MetaFunction {
     val name = "frontMasking"
     def induce(in: String, out: String): List[AttrFunc] = {
-      if (in == out || in.length != out.length || in.isEmpty) return Nil
+      if (in.length != out.length || in.isEmpty) return Nil
       val l = in.length - commonSuffixLen(in, out)
       if (l >= 1 && l <= out.length) List(FrontMask(out.substring(0, l))) else Nil
     }
@@ -104,7 +104,7 @@ object MetaFunctions {
   case object BackMaskMeta extends MetaFunction {
     val name = "backMasking"
     def induce(in: String, out: String): List[AttrFunc] = {
-      if (in == out || in.length != out.length || in.isEmpty) return Nil
+      if (in.length != out.length || in.isEmpty) return Nil
       val l = in.length - commonPrefixLen(in, out)
       if (l >= 1 && l <= out.length) List(BackMask(out.substring(out.length - l))) else Nil
     }
@@ -112,20 +112,14 @@ object MetaFunctions {
 
   case object FrontTrimMeta extends MetaFunction {
     val name = "frontCharTrimming"
-    def induce(in: String, out: String): List[AttrFunc] = {
-      if (in == out || in.isEmpty) return Nil
-      val c = in.charAt(0)
-      List(FrontTrim(c)).filter(f => f(in) == out && f(in) != in)
-    }
+    def induce(in: String, out: String): List[AttrFunc] =
+      if (in.isEmpty) Nil else List(FrontTrim(in.charAt(0)))
   }
 
   case object BackTrimMeta extends MetaFunction {
     val name = "backCharTrimming"
-    def induce(in: String, out: String): List[AttrFunc] = {
-      if (in == out || in.isEmpty) return Nil
-      val c = in.charAt(in.length - 1)
-      List(BackTrim(c)).filter(f => f(in) == out && f(in) != in)
-    }
+    def induce(in: String, out: String): List[AttrFunc] =
+      if (in.isEmpty) Nil else List(BackTrim(in.charAt(in.length - 1)))
   }
 
   case object PrefixMeta extends MetaFunction {
@@ -152,7 +146,6 @@ object MetaFunctions {
   case object PrefixReplaceMeta extends MetaFunction {
     val name = "prefixReplacement"
     def induce(in: String, out: String): List[AttrFunc] = {
-      if (in == out) return Nil
       val s = commonSuffixLen(in, out)
       val y = in.substring(0, in.length - s)
       val z = out.substring(0, out.length - s)
@@ -166,7 +159,6 @@ object MetaFunctions {
   case object SuffixReplaceMeta extends MetaFunction {
     val name = "suffixReplacement"
     def induce(in: String, out: String): List[AttrFunc] = {
-      if (in == out) return Nil
       val p = commonPrefixLen(in, out)
       val y = in.substring(p)
       val z = out.substring(p)

@@ -68,8 +68,8 @@ object EncodedAttr {
   * of the instance, so it never equals a target code.
   *
   * A table only grows: a code once filled keeps its output, so one table
-  * can serve every call that applies `f` to the attribute (see
-  * [[CodeTables]]).
+  * can serve every call that applies `f` to the attribute (a search run
+  * keeps one per candidate, see `repro.core.search.InducedCandidates`).
   */
 final class CodeTable(attr: EncodedAttr, val f: AttrFunc) {
   private val identity = f.isIdentity
@@ -101,24 +101,5 @@ final class CodeTable(attr: EncodedAttr, val f: AttrFunc) {
         code
       }
     }
-  }
-}
-
-/** The [[CodeTable]]s of one search run, one per (attribute, function
-  * object), so a function the run applies again (a decided function on
-  * every refinement, a candidate ranked and then costed) runs at most once
-  * per distinct source code in the whole run.
-  *
-  * Tables are keyed by object identity: no `equals`/`hashCode` of an
-  * `AttrFunc` (a value map hashes all its entries) ever runs. A function
-  * built afresh on every call, such as a greedy map, gains nothing here and
-  * should get its own `CodeTable` instead.
-  */
-final class CodeTables(inst: LocalInstance) {
-  private val byAttr = new Array[java.util.IdentityHashMap[AttrFunc, CodeTable]](inst.d)
-
-  def apply(attr: Int, f: AttrFunc): CodeTable = {
-    if (byAttr(attr) == null) byAttr(attr) = new java.util.IdentityHashMap[AttrFunc, CodeTable]()
-    byAttr(attr).computeIfAbsent(f, _ => new CodeTable(inst.encoded(attr), f))
   }
 }

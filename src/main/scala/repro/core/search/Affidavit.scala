@@ -5,7 +5,7 @@ import scala.util.Random
 
 import repro.core.blocking.{BlockingResult, LocalBlocking}
 import repro.core.functions.Funcs
-import repro.core.model.{AttrFunc, CodeTable, CodeTables, Costs, Explanation, LocalInstance}
+import repro.core.model.{AttrFunc, CodeTable, Costs, Explanation, LocalInstance}
 
 /** Result of one Affidavit run. */
 final case class AffidavitResult(
@@ -29,10 +29,9 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
 
   private var evaluated = 0
 
-  // Memos of this run (DESIGN.md §2): one code table per (attribute,
-  // function object) and one candidate list per induced example. They die
-  // with the run, so every run pays for its own.
-  private val tables = new CodeTables(inst)
+  // The candidate registry of this run (DESIGN.md §2): one function object
+  // and one code table per candidate. It dies with the run, so every run
+  // pays for its own.
   private val induced = new InducedCandidates(inst, cfg.metas)
 
   /** Cost of a (partial or end) state per Def. 4.6 (see DESIGN.md §3). */
@@ -176,12 +175,11 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
       for (a <- now) {
         val g = Sampling.greedyMap(inst, alignment, a)
         val cg = refinedCost(h, blocking, a, g)
-        val candidates = Induction.induceCandidates(inst, blocking, a, cfg, rnd, induced, tables)
+        val candidates = Induction.induceCandidates(inst, blocking, a, cfg, rnd, induced)
         var keptAny = false
-        for (f <- candidates) {
-          val table = tables(a, f)
-          val cf = refinedCost(h, blocking, a, table)
-          if (cf < cg) { ext += ((h.extend(blocking, a, table), cf)); keptAny = true }
+        for (c <- candidates) {
+          val cf = refinedCost(h, blocking, a, c.table)
+          if (cf < cg) { ext += ((h.extend(blocking, a, c.table), cf)); keptAny = true }
         }
         if (!keptAny) mapAttrs += a
       }

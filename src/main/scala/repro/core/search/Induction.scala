@@ -5,7 +5,7 @@ import scala.util.Random
 
 import repro.core.blocking.{Block, BlockingResult}
 import repro.core.functions.MetaFunction
-import repro.core.model.{AttrFunc, CodeTables, LocalInstance}
+import repro.core.model.{AttrFunc, CodeTable, EncodedAttr, LocalInstance}
 
 /** Function-candidate induction and ranking (§4.4.2, §4.4.3). */
 object Induction {
@@ -24,8 +24,8 @@ object Induction {
     * attribute from the blocking result; returns the best `beta` candidates
     * in rank order.
     *
-    * `induced` and `tables` are the memos of the search run; results do not
-    * depend on what they already hold.
+    * `induced` is the candidate registry of the search run; results do not
+    * depend on what it already holds.
     */
   def induceCandidates(
       inst: LocalInstance,
@@ -34,8 +34,7 @@ object Induction {
       cfg: AffidavitConfig,
       rnd: Random,
       induced: InducedCandidates,
-      tables: CodeTables,
-  ): List[AttrFunc] = {
+  ): List[Candidate] = {
     val mixed = blocking.mixed
     if (mixed.isEmpty) return Nil
     val col = inst.encoded(attr)
@@ -73,26 +72,10 @@ object Induction {
       srcCodesCache(b)
     }
 
-    // Candidates are numbered by first generation in this call, one id per
-    // `describe`; a counted candidate keeps the function of its latest
-    // generation.
-    val ids = mutable.HashMap.empty[String, Int]
-    val cands = mutable.ArrayBuffer.empty[AttrFunc]
-    val counts = mutable.ArrayBuffer.empty[Int]
-    val lastExample = mutable.ArrayBuffer.empty[Int] // last sampled example that counted the id
-    val generated = mutable.LongMap.empty[Array[(Int, AttrFunc)]]
-    def generate(in: Int, out: Int): Array[(Int, AttrFunc)] =
-      generated.getOrElseUpdate((in.toLong << 32) | out.toLong,
-        induced(attr, in, out).map { case (describe, f) =>
-          val id = ids.getOrElseUpdate(describe, {
-            cands += f
-            counts += 0
-            lastExample += -1
-            cands.length - 1
-          })
-          (id, f)
-        })
-
+    // Per candidate id: the number of sampled examples that induced it, and
+    // the last one counted (+ 1), so an example counts a candidate once.
+    val counts = mutable.LongMap.empty[Int]
+    val lastExample = mutable.LongMap.empty[Int]
     var si = 0
     while (si < sampled.length) {
       val p = sampled(si)
@@ -100,14 +83,13 @@ object Induction {
       val vals = srcCodes(blocks(p))
       var vi = 0
       while (vi < vals.length) {
-        val gen = generate(vals(vi), out)
+        val gen = induced(attr, vals(vi), out)
         var gi = 0
         while (gi < gen.length) {
-          val (id, f) = gen(gi)
-          if (lastExample(id) != si) {
-            lastExample(id) = si
-            counts(id) += 1
-            cands(id) = f
+          val id = gen(gi).id
+          if (lastExample.getOrElse(id, 0) != si + 1) {
+            lastExample(id) = si + 1
+            counts(id) = counts.getOrElse(id, 0) + 1
           }
           gi += 1
         }
@@ -120,15 +102,15 @@ object Induction {
     val threshold =
       if (sampled.length >= k) cfg.significanceCount
       else math.max(1, math.ceil(cfg.theta * sampled.length / 2.0).toInt)
-    val survivors = cands.indices.collect { case id if counts(id) >= threshold => cands(id) }.toArray
+    val survivors = counts.iterator.collect { case (id, n) if n >= threshold => induced(id.toInt) }.toArray
     if (survivors.isEmpty) return Nil
 
     // --- ranking by sampled histogram overlap minus description length ---
-    val ranked = rankByOverlap(inst, mixed, attr, survivors, cfg, rnd, tables)
+    val ranked = rankByOverlap(inst, mixed, attr, survivors, cfg, rnd)
     ranked.take(cfg.beta).toList
   }
 
-  /** [[induceCandidates]] with memos that live only for this call. */
+  /** [[induceCandidates]] with a registry that lives only for this call. */
   def induceCandidates(
       inst: LocalInstance,
       blocking: BlockingResult,
@@ -136,24 +118,24 @@ object Induction {
       cfg: AffidavitConfig,
       rnd: Random,
   ): List[AttrFunc] =
-    induceCandidates(inst, blocking, attr, cfg, rnd, new InducedCandidates(inst, cfg.metas), new CodeTables(inst))
+    induceCandidates(inst, blocking, attr, cfg, rnd, new InducedCandidates(inst, cfg.metas)).map(_.f)
 
   /** Rank candidates by the estimated number of records they would align:
     * sample k' source records, dedupe their blocks, and on each block
     * compare the histogram of transformed source values against the block's
     * target-value histogram (sum of per-value minimum frequencies). The
     * final rank key is total overlap minus ψ, descending, then ψ, then
-    * `describe`.
+    * `describe`, which tells the candidates of one attribute apart, so the
+    * order of `candidates` does not matter.
     */
   def rankByOverlap(
       inst: LocalInstance,
       mixed: Array[Block],
       attr: Int,
-      candidates: Array[AttrFunc],
+      candidates: Array[Candidate],
       cfg: AffidavitConfig,
       rnd: Random,
-      tables: CodeTables,
-  ): Array[AttrFunc] = {
+  ): Array[Candidate] = {
     val col = inst.encoded(attr)
     // Pool of (block, source record) pairs, as the block index repeated
     // once per source record.
@@ -175,7 +157,7 @@ object Induction {
     // are built once; each candidate re-buckets the source histogram
     // through its code table, where outputs absent from the dictionary
     // match no target and drop out.
-    val candTables = candidates.map(tables(attr, _))
+    val candTables = candidates.map(_.table)
     val overlaps = new Array[Long](candidates.length)
     val tgtCount = new Array[Int](col.size)
     val srcCount = new Array[Int](col.size)
@@ -222,27 +204,48 @@ object Induction {
       b += 1
     }
     candidates.zipWithIndex
-      .sortBy { case (f, i) => (-(overlaps(i) - f.psi).toDouble, f.psi, f.describe) }
+      .sortBy { case (c, i) => (-(overlaps(i) - c.f.psi).toDouble, c.f.psi, c.f.describe) }
       .map(_._1)
   }
 }
 
-/** The candidates `induceVerified` yields for each (attribute, input code,
-  * output code) example of one instance, each with its `describe`, in
-  * generation order. One search run keeps one, so an example seen in an
-  * earlier state is not induced again, and a candidate keeps one function
-  * object for the run (which is what [[CodeTables]] is keyed by).
+/** One candidate function of a search run: the first function any example
+  * induced with its (attribute, `describe`). `id` numbers the run's
+  * candidates in order of first induction.
+  */
+final class Candidate private[search] (val id: Int, val f: AttrFunc, col: EncodedAttr) {
+
+  /** `f` on the attribute's codes, built when the candidate is first
+    * ranked; every state that decides the candidate refines with it.
+    */
+  lazy val table: CodeTable = new CodeTable(col, f)
+}
+
+/** The candidate registry of one search run (hash-consing): each function
+  * `induceVerified` yields is interned by (attribute, `describe`) the first
+  * time any example yields it, so a candidate has one function object and
+  * at most one [[CodeTable]] for the run. For each (attribute, input code,
+  * output code) example it keeps the candidates the example induces, in
+  * generation order, so an example seen in an earlier state is not induced
+  * again.
   */
 final class InducedCandidates(inst: LocalInstance, metas: List[MetaFunction]) {
-  private val byAttr = new Array[mutable.LongMap[Array[(String, AttrFunc)]]](inst.d)
+  private val byId = mutable.ArrayBuffer.empty[Candidate]
+  private val byDescribe = Array.fill(inst.d)(mutable.HashMap.empty[String, Candidate])
+  private val byExample = Array.fill(inst.d)(mutable.LongMap.empty[Array[Candidate]])
 
-  def apply(attr: Int, in: Int, out: Int): Array[(String, AttrFunc)] = {
-    if (byAttr(attr) == null) byAttr(attr) = mutable.LongMap.empty
-    byAttr(attr).getOrElseUpdate((in.toLong << 32) | out.toLong, {
+  def apply(id: Int): Candidate = byId(id)
+
+  def apply(attr: Int, in: Int, out: Int): Array[Candidate] =
+    byExample(attr).getOrElseUpdate((in.toLong << 32) | out.toLong, {
       val col = inst.encoded(attr)
       val inV = col.dict(in)
       val outV = col.dict(out)
-      metas.iterator.flatMap(_.induceVerified(inV, outV)).map(f => (f.describe, f)).toArray
+      metas.iterator.flatMap(_.induceVerified(inV, outV)).map { f =>
+        byDescribe(attr).getOrElseUpdate(f.describe, {
+          byId += new Candidate(byId.length, f, col)
+          byId.last
+        })
+      }.toArray
     })
-  }
 }

@@ -5,9 +5,9 @@ import org.scalatest.funsuite.AnyFunSuite
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
-  * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Automatic broadcast joins are disabled, so joins take the
+  * Driver heap is `-Xmx` of SPARK_DRIVER_MEM, set via `Test / javaOptions`
+  * in build.sbt (48g when unset, so set it to fit the machine).
+  * Automatic broadcast joins are disabled, so joins take the
   * shuffle path unless a query asks for `broadcast(...)` itself, as the
   * `H^s` overlap matcher does.
   */
@@ -24,8 +24,7 @@ object SparkSpec {
               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-    // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target).
+    // One line in test output with the heap and parallelism the tests got.
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
       s"master=${s.sparkContext.master} " +

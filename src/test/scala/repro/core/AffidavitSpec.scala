@@ -1,10 +1,13 @@
 package repro.core
 
+import scala.util.Random
+
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.core.functions.Funcs._
-import repro.core.model.{Costs, LocalInstance}
+import repro.core.model.{Costs, LocalInstance, RunningExample}
 import repro.core.search._
+import repro.gen.{Dataset, ProblemGen}
 
 /** Behavioural tests of the search on small constructed instances. */
 class AffidavitSpec extends AnyFunSuite {
@@ -22,6 +25,25 @@ class AffidavitSpec extends AnyFunSuite {
     assert(res.explanation.funcs.forall(_.isIdentity))
     assert(res.explanation.coreSize == 3)
     assert(res.explanation.isValidFor(i))
+  }
+
+  test("a candidate kept in two states carries one code table") {
+    val toys = (1 to 3).map { seed =>
+      val rnd = new Random(seed)
+      val rows = Array.fill(60)(Array(
+        s"c${rnd.nextInt(4)}", (rnd.nextInt(9) * 10).toString, s"name${rnd.nextInt(12)}", s"x${rnd.nextInt(3)}"))
+      (ProblemGen.generate(Dataset("toy", Vector("cat", "num", "name", "x"), rows), 0.3, 0.5, seed).inst, seed.toLong)
+    }
+    for ((i, seed) <- (RunningExample.instance, 7L) +: toys) {
+      val aff = new Affidavit(i, AffidavitConfig.hidConfig(seed))
+      val level1 = aff.startStates(InitStrategy.Id).flatMap(aff.extensions).map(_._1)
+      val kept = (level1 ++ level1.take(4).flatMap(aff.extensions).map(_._1))
+        .flatMap(_.from)
+        .filterNot(_.table.f.isInstanceOf[ValueMap]) // greedy maps are built per state
+      val byCandidate = kept.groupBy(step => (step.attr, step.table.f.describe))
+      assert(byCandidate.values.exists(_.size > 1), byCandidate.keys)
+      for ((key, steps) <- byCandidate) assert(steps.forall(_.table eq steps.head.table), key)
+    }
   }
 
   test("a single systematically transformed attribute is learned") {

@@ -7,7 +7,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.core.blocking.{BlockingResult, LocalBlocking}
 import repro.core.functions.Funcs._
-import repro.core.model.{AttrFunc, CodeTables, LocalInstance, RunningExample}
+import repro.core.model.{AttrFunc, CodeTable, LocalInstance, RunningExample}
 import repro.core.search.{Affidavit, AffidavitConfig, Sampling, State}
 import repro.gen.{Dataset, ProblemGen}
 
@@ -75,12 +75,14 @@ class BlockingOracleSpec extends AnyFunSuite {
 
   /** `refine(block(D), a, f)` against `block(D :+ (a, f))` for random D and
     * every one-attribute extension. All refinements of an instance share
-    * one set of code tables, and each table is used again on a second
-    * parent (the blank state's blocking), so tables already filled by an
-    * earlier call must give the same blocks.
+    * one code table per (attribute, function), as a search run shares one
+    * per candidate, and each table is used again on a second parent (the
+    * blank state's blocking), so tables already filled by an earlier call
+    * must give the same blocks.
     */
   private def checkRefine(inst: LocalInstance, rnd: Random, extra: Int => Seq[AttrFunc], rounds: Int): Unit = {
-    val tables = new CodeTables(inst)
+    val shared = mutable.HashMap.empty[(Int, AttrFunc), CodeTable]
+    def tables(a: Int, f: AttrFunc) = shared.getOrElseUpdate((a, f), new CodeTable(inst.encoded(a), f))
     val root = LocalBlocking.block(inst, Array.empty[(Int, AttrFunc)])
     for (_ <- 1 to rounds) {
       val h = randomState(inst, rnd, extra)

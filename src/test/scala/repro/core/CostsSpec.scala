@@ -1,11 +1,13 @@
 package repro.core
 
+import scala.util.Random
+
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.core.blocking.LocalBlocking
 import repro.core.functions.Funcs._
 import repro.core.model.{Costs, LocalInstance, RunningExample}
-import repro.core.search.{Affidavit, Slot, State}
+import repro.core.search.{Affidavit, AffidavitConfig, Slot, State}
 
 class CostsSpec extends AnyFunSuite {
 
@@ -43,6 +45,22 @@ class CostsSpec extends AnyFunSuite {
     // The paper's literal Def. 4.6 would count records unscaled: 56 + 3.
     assert(Costs.stateCost(inst.d, endState.cf, blocking.ct, blocking.cs, inst.delta, 0.5,
       scaleRecords = false) == 59.0)
+  }
+
+  test("finalizeMaps returns an end state whose cost equals its explanation's") {
+    val aff = new Affidavit(inst, AffidavitConfig(seed = 1))
+    val partials = Seq(
+      State.blank(inst.d),
+      State.blank(inst.d).assign(3, Identity).assign(6, Identity),
+      State.blank(inst.d).assign(2, PrefixReplace("9999123", "2018070")).assign(4, Div(BigDecimal(1000)))
+        .assign(5, Const("k $")))
+    for (h <- partials; seed <- 1 to 3) {
+      val end = aff.finalizeMaps(h, h.undecided, new Random(seed))
+      assert(end.isEnd, h.signature)
+      val e = Affidavit.toExplanation(inst, end)
+      assert(e.isValidFor(inst), end.signature)
+      assert(aff.stateCost(end) == Costs.explanationCost(inst, e, 0.5), end.signature)
+    }
   }
 
   test("state cost lower-bounds via cs − Δ when deletions dominate") {

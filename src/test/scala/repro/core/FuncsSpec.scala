@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.core.functions.Funcs._
+import repro.core.model.AttrFunc
 
 /** Behaviour and description lengths of every instantiable function. */
 class FuncsSpec extends AnyFunSuite {
@@ -72,6 +73,16 @@ class FuncsSpec extends AnyFunSuite {
     val f = SuffixReplace("-x", "")
     assert(f("a-x") == "a" && f("a") == "a")
     assert(f.psi == 2 && f.describe == "suffixReplace(-x->)")
+  }
+
+  test("prefix and suffix replacement descriptions name one parameter pair") {
+    val pairs = Seq(("a->b", "c"), ("a", "b->c"), ("a\\", "->b"), ("a->\\", "b"), ("a-", ">b"), ("a", "->b"))
+    for (make <- Seq[(String, String) => AttrFunc](PrefixReplace(_, _), SuffixReplace(_, _))) {
+      val ds = pairs.map(make.tupled).map(_.describe)
+      assert(ds.distinct == ds, ds)
+    }
+    assert(PrefixReplace("a->b", "c").describe == "prefixReplace(a\\->b->c)")
+    assert(SuffixReplace("a\\", "b").describe == "suffixReplace(a\\\\->b)")
   }
 
   test("value mapping applies listed entries") {

@@ -5,7 +5,8 @@ import repro.core.model.{LocalInstance, RunningExample}
 import repro.core.search.{Affidavit, AffidavitConfig, InitStrategy}
 import repro.gen.{Dataset, ProblemGen}
 
-/** Pinned outcomes of whole `H^id` searches: poll and state counts, cost,
+/** Pinned outcomes of whole searches (`H^id`, and one `H^s`-style β = 1
+  * search from a fixed id-attribute set): poll and state counts, cost,
   * every function's `describe` and the deleted and inserted records. A
   * change meant to keep the search's behaviour (a speed-up) must leave all
   * of them as they are; any change to the search's choices or to the order
@@ -22,8 +23,12 @@ class SearchGoldenSpec extends SparkSpec {
       funcs: String,
       deleted: Seq[Int],
       inserted: Seq[Int],
+      hs: Option[Set[Int]] = None,
   ): Unit = {
-    val res = Affidavit.run(inst, AffidavitConfig.hidConfig(seed), InitStrategy.Id)
+    val res = hs match {
+      case None          => Affidavit.run(inst, AffidavitConfig.hidConfig(seed), InitStrategy.Id)
+      case Some(idAttrs) => Affidavit.run(inst, AffidavitConfig.hsConfig(seed), InitStrategy.Overlap(idAttrs))
+    }
     assert(res.polls == polls)
     assert(res.statesEvaluated == states)
     assert(res.cost == cost)
@@ -86,5 +91,14 @@ class SearchGoldenSpec extends SparkSpec {
       ).mkString("|"),
       deleted = Seq(1, 4, 8, 9, 12, 20) ++ (22 to 70),
       inserted = Seq(1, 4, 8, 9, 12, 20) ++ (22 to 70))
+  }
+
+  test("abalone, 300 rows, η = τ = 0.5, seed 2, β = 1 from id attributes {1, 2, 3}") {
+    check(
+      generated("abalone", 300, 0.5, 2), seed = 2, polls = 7, states = 13, cost = 1794.0,
+      funcs = "backMask(M)|id|id|id|id|id|id|add(-11)|add(99)",
+      deleted = (0 to 199).filter(_ != 72),
+      inserted = (0 to 199).filter(_ != 72),
+      hs = Some(Set(1, 2, 3)))
   }
 }
