@@ -1,6 +1,6 @@
 package repro.core.blocking
 
-import repro.core.model.{AttrFunc, CodeTable, EncodedAttr, LocalInstance}
+import repro.core.model.{AttrFunc, CodeTable, EncodedAttr, LocalInstance, Marks}
 
 /** One block of the blocking result Φ_H (Def. 4.4): the source and target
   * record indices, each ascending, that share a blocking index κ under the
@@ -12,10 +12,10 @@ final case class Block(src: Array[Int], tgt: Array[Int]) {
 
 /** The full blocking result plus the state-cost lower bounds derived from
   * it (§4.5): `ct` counts target records that can no longer be aligned,
-  * `cs` counts source records that can no longer be aligned.
+  * `cs` counts source records that can no longer be aligned. `mixed` holds
+  * the blocks with both sources and targets, in block order.
   */
-final case class BlockingResult(blocks: Array[Block]) {
-  lazy val mixed: Array[Block] = blocks.filter(_.isMixed)
+final class BlockingResult private[blocking] (val blocks: Array[Block], val mixed: Array[Block]) {
 
   def ct: Int = {
     var acc = 0
@@ -59,7 +59,7 @@ object LocalBlocking {
   def block(inst: LocalInstance, decided: Array[(Int, AttrFunc)]): BlockingResult = {
     val ns = inst.source.length
     val nt = inst.target.length
-    if (ns + nt == 0) return BlockingResult(Array.empty)
+    if (ns + nt == 0) return new BlockingResult(Array.empty, Array.empty)
     val srcBlock = new Array[Int](ns)
     val tgtBlock = new Array[Int](nt)
     var nBlocks = 1
@@ -82,8 +82,11 @@ object LocalBlocking {
     val tgtBlock = new Array[Int](inst.target.length)
     var b = 0
     while (b < parent.blocks.length) {
-      parent.blocks(b).src.foreach(srcBlock(_) = b)
-      parent.blocks(b).tgt.foreach(tgtBlock(_) = b)
+      val block = parent.blocks(b)
+      var i = 0
+      while (i < block.src.length) { srcBlock(block.src(i)) = b; i += 1 }
+      var j = 0
+      while (j < block.tgt.length) { tgtBlock(block.tgt(j)) = b; j += 1 }
       b += 1
     }
     val children = new LongIntMap(srcBlock.length + tgtBlock.length)
@@ -118,7 +121,15 @@ object LocalBlocking {
   private def result(srcBlock: Array[Int], tgtBlock: Array[Int], nBlocks: Int): BlockingResult = {
     val srcs = members(srcBlock, nBlocks)
     val tgts = members(tgtBlock, nBlocks)
-    BlockingResult(Array.tabulate(nBlocks)(b => Block(srcs(b), tgts(b))))
+    val blocks = new Array[Block](nBlocks)
+    val mixed = Array.newBuilder[Block]
+    var b = 0
+    while (b < nBlocks) {
+      blocks(b) = Block(srcs(b), tgts(b))
+      if (blocks(b).isMixed) mixed += blocks(b)
+      b += 1
+    }
+    new BlockingResult(blocks, mixed.result())
   }
 
   private def pack(block: Int, code: Int): Long = (block.toLong << 32) | code.toLong
@@ -126,7 +137,8 @@ object LocalBlocking {
   /** Record indices per block, ascending. */
   private def members(blockOf: Array[Int], nBlocks: Int): Array[Array[Int]] = {
     val sizes = new Array[Int](nBlocks)
-    blockOf.foreach(b => sizes(b) += 1)
+    var r = 0
+    while (r < blockOf.length) { sizes(blockOf(r)) += 1; r += 1 }
     val out = sizes.map(new Array[Int](_))
     java.util.Arrays.fill(sizes, 0)
     var i = 0
@@ -145,24 +157,31 @@ object LocalBlocking {
     * origin of a target value. Falls back to the global distinct count when
     * no block is mixed.
     */
-  def indeterminacy(inst: LocalInstance, blocking: BlockingResult, attr: Int): Int = {
+  def indeterminacy(inst: LocalInstance, blocking: BlockingResult, attr: Int): Int =
+    indeterminacy(inst, blocking, attr, new Marks)
+
+  /** [[indeterminacy]] with `seen` as scratch for the codes of a block. */
+  def indeterminacy(inst: LocalInstance, blocking: BlockingResult, attr: Int, seen: Marks): Int = {
     val col = inst.encoded(attr)
     val mixed = blocking.mixed
     if (mixed.isEmpty) col.srcDistinct
     else {
+      // A block with no more sources than `best` cannot raise it, and no
+      // block holds more distinct values than all sources together.
       var best = 0
-      val seenIn = new Array[Int](col.size) // mixed-block index + 1 of the last sighting
       var i = 0
-      while (i < mixed.length) {
+      while (i < mixed.length && best < col.srcDistinct) {
         val src = mixed(i).src
-        var distinct = 0
-        var k = 0
-        while (k < src.length) {
-          val c = col.src(src(k))
-          if (seenIn(c) != i + 1) { seenIn(c) = i + 1; distinct += 1 }
-          k += 1
+        if (src.length > best) {
+          seen.clear()
+          var distinct = 0
+          var k = 0
+          while (k < src.length) {
+            if (seen.add(col.src(src(k)))) distinct += 1
+            k += 1
+          }
+          if (distinct > best) best = distinct
         }
-        if (distinct > best) best = distinct
         i += 1
       }
       best

@@ -1,6 +1,6 @@
 package repro.core.functions
 
-import repro.core.model.{AttrFunc, Num}
+import repro.core.model.{AttrFunc, EncodedAttr, Num}
 
 /** The instantiable function families of Table 1 (plus the inverse variants
   * the paper mentions: suffixing for prefixing, back masking/trimming for
@@ -156,13 +156,14 @@ object Funcs {
     *
     * ψ = 2 per entry (each entry contributes the parameters x_i and y_i),
     * counting identity entries too — exactly as `f^E1_ID2` in the paper's
-    * running example (13 entries → ψ = 26).
+    * running example (13 entries → ψ = 26). `describe` lists the entries
+    * in key order, a `null` key first.
     */
   final case class ValueMap(map: Map[String, String]) extends AttrFunc {
     def apply(x: String): String = map.getOrElse(x, x)
     def psi: Int = 2 * map.size
     def describe: String = {
-      val entries = map.toSeq.sortBy(_._1)
+      val entries = map.toSeq.sortBy(_._1)(Ordering.comparatorToOrdering(EncodedAttr.ValueOrder))
       val shown = entries.take(4).map { case (k, v) => s"$k->$v" }.mkString(",")
       val more = if (entries.size > 4) s",…(${entries.size} entries)" else ""
       s"map($shown$more)"

@@ -60,6 +60,15 @@ object EncodedAttr {
   }
 }
 
+/** A map from the codes of one attribute's source values to codes: the
+  * image of each value under some function. An image outside the
+  * dictionary has a code at or above the attribute's size, so it never
+  * equals a target code.
+  */
+trait CodeMap {
+  def apply(c: Int): Int
+}
+
 /** An [[AttrFunc]] applied to the codes of one attribute: `apply(c)` is the
   * code of `f(dict(c))`. `f` runs at most once per distinct source code,
   * when the code is first asked for. An output found in the dictionary gets
@@ -71,7 +80,7 @@ object EncodedAttr {
   * can serve every call that applies `f` to the attribute (a search run
   * keeps one per candidate, see `repro.core.search.InducedCandidates`).
   */
-final class CodeTable(attr: EncodedAttr, val f: AttrFunc) {
+final class CodeTable(attr: EncodedAttr, val f: AttrFunc) extends CodeMap {
   private val identity = f.isIdentity
   private val table = if (identity) null else new Array[Int](attr.size) // code + 1; 0 = not yet run
   private var fresh: java.util.HashMap[String, Integer] = _

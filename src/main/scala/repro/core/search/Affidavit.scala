@@ -5,7 +5,7 @@ import scala.util.Random
 
 import repro.core.blocking.{BlockingResult, LocalBlocking}
 import repro.core.functions.Funcs
-import repro.core.model.{AttrFunc, CodeTable, Costs, Explanation, LocalInstance}
+import repro.core.model.{AttrFunc, CodeMap, CodeTable, Costs, Explanation, LocalInstance, Marks}
 
 /** Result of one Affidavit run. */
 final case class AffidavitResult(
@@ -34,6 +34,12 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
   // pays for its own.
   private val induced = new InducedCandidates(inst, cfg.metas)
 
+  // Scratch of refinedCost and indeterminacy, kept for the run and grown on
+  // demand; no call clears it. `pending` is all zeros between calls.
+  private var pending = new Array[Int](0) // unmatched sources per code in the current block
+  private var touched = new Array[Int](0) // codes with pending sources in the current block
+  private val seen = new Marks
+
   /** Cost of a (partial or end) state per Def. 4.6 (see DESIGN.md §3). */
   def stateCost(h: State): Double = cost(h, blockingOf(h))
 
@@ -58,15 +64,30 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
     * the dictionary matches no target and counts in `cs` on its own.
     */
   def refinedCost(h: State, parentBlocking: BlockingResult, attr: Int, f: AttrFunc): Double =
-    refinedCost(h, parentBlocking, attr, new CodeTable(inst.encoded(attr), f))
+    refinedCost(h, parentBlocking, attr, f.psi, new CodeTable(inst.encoded(attr), f))
 
-  /** [[refinedCost]] of the function `fc` applies to `attr`. */
-  private def refinedCost(h: State, parentBlocking: BlockingResult, attr: Int, fc: CodeTable): Double = {
+  /** [[refinedCost]] of the greedy value map (§4.3) that `alignment`
+    * induces on `attr`, the bar a candidate function must beat.
+    */
+  def greedyMapCost(h: State, parentBlocking: BlockingResult, attr: Int, alignment: Array[(Int, Int)]): Double = {
+    val g = Sampling.greedyCodes(inst.encoded(attr), alignment)
+    refinedCost(h, parentBlocking, attr, g.psi, g)
+  }
+
+  /** [[refinedCost]] of a function with description length `psi` that
+    * `fc` applies to `attr`. Within a block, a target takes a pending
+    * source of its code if there is one and counts in `ct` otherwise; the
+    * sources left pending count in `cs`.
+    */
+  private def refinedCost(h: State, parentBlocking: BlockingResult, attr: Int, psi: Int, fc: CodeMap): Double = {
     evaluated += 1
     val col = inst.encoded(attr)
-    val balance = new Array[Int](col.size) // sources − targets per code in the current block
-    val seenIn = new Array[Int](col.size) // block index + 1 of the last sighting
-    val touched = new Array[Int](col.size) // codes seen in the current block
+    if (this.pending.length < col.size) {
+      this.pending = new Array[Int](col.size)
+      this.touched = new Array[Int](col.size)
+    }
+    val pending = this.pending
+    val touched = this.touched
     var ct = 0
     var cs = 0
     val blocks = parentBlocking.blocks
@@ -82,29 +103,28 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
           val c = fc(col.src(b.src(i)))
           if (c >= col.size) cs += 1
           else {
-            if (seenIn(c) != bi + 1) { seenIn(c) = bi + 1; touched(nTouched) = c; nTouched += 1 }
-            balance(c) += 1
+            if (pending(c) == 0) { touched(nTouched) = c; nTouched += 1 }
+            pending(c) += 1
           }
           i += 1
         }
         var j = 0
         while (j < b.tgt.length) {
           val c = col.tgt(b.tgt(j))
-          if (seenIn(c) != bi + 1) { seenIn(c) = bi + 1; touched(nTouched) = c; nTouched += 1 }
-          balance(c) -= 1
+          if (pending(c) > 0) pending(c) -= 1 else ct += 1
           j += 1
         }
         var k = 0
         while (k < nTouched) {
           val c = touched(k)
-          if (balance(c) > 0) cs += balance(c) else ct -= balance(c)
-          balance(c) = 0
+          cs += pending(c)
+          pending(c) = 0
           k += 1
         }
       }
       bi += 1
     }
-    Costs.stateCost(inst.d, h.cf + fc.f.psi, ct, cs, inst.delta, cfg.alpha, cfg.scaleRecordBound)
+    Costs.stateCost(inst.d, h.cf + psi, ct, cs, inst.delta, cfg.alpha, cfg.scaleRecordBound)
   }
 
   /** Init-Start-States for the configured strategy. */
@@ -158,7 +178,7 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
     // Order-By-Indeterminacy: most determined (fewest distinct in-block
     // source values) first.
     val ordered = h.undecided
-      .map(a => (a, LocalBlocking.indeterminacy(inst, blocking, a)))
+      .map(a => (a, LocalBlocking.indeterminacy(inst, blocking, a, seen)))
       .sortBy { case (a, ind) => (ind, a) }
       .map(_._1)
 
@@ -173,12 +193,11 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
       remaining = later
       batch = 1 // after the first β attributes, poll one at a time
       for (a <- now) {
-        val g = Sampling.greedyMap(inst, alignment, a)
-        val cg = refinedCost(h, blocking, a, g)
+        val cg = greedyMapCost(h, blocking, a, alignment)
         val candidates = Induction.induceCandidates(inst, blocking, a, cfg, rnd, induced)
         var keptAny = false
         for (c <- candidates) {
-          val cf = refinedCost(h, blocking, a, c.table)
+          val cf = refinedCost(h, blocking, a, c.psi, c.table)
           if (cf < cg) { ext += ((h.extend(blocking, a, c.table), cf)); keptAny = true }
         }
         if (!keptAny) mapAttrs += a

@@ -5,7 +5,7 @@ import scala.util.Random
 
 import repro.core.blocking.{Block, BlockingResult}
 import repro.core.functions.MetaFunction
-import repro.core.model.{AttrFunc, CodeTable, EncodedAttr, LocalInstance}
+import repro.core.model.{AttrFunc, CodeTable, EncodedAttr, LocalInstance, Marks}
 
 /** Function-candidate induction and ranking (§4.4.2, §4.4.3). */
 object Induction {
@@ -54,43 +54,47 @@ object Induction {
     val targets = poolTarget.result()
     val k = cfg.inductionSampleSize
     val sampled: Array[Int] = // pool positions
-      if (targets.length <= k) targets.indices.toArray
-      else Sampling.shuffle(targets.indices.toArray, rnd).take(k)
+      if (targets.length <= k) Array.range(0, targets.length)
+      else Sampling.shuffle(Array.range(0, targets.length), rnd).take(k)
 
     // Distinct source codes per mixed block, in order of first occurrence,
-    // computed lazily and cached.
+    // computed when an example of the block is first drawn.
     val srcCodesCache = new Array[Array[Int]](mixed.length)
     def srcCodes(b: Int): Array[Int] = {
       if (srcCodesCache(b) == null) {
-        val seen = mutable.LinkedHashSet.empty[Int]
-        mixed(b).src.foreach(s => seen += col.src(s))
-        val all = seen.toArray
+        val src = mixed(b).src
+        val all = new Array[Int](src.length)
+        var n = 0
+        induced.seen.clear()
+        var i = 0
+        while (i < src.length) {
+          val c = col.src(src(i))
+          if (induced.seen.add(c)) { all(n) = c; n += 1 }
+          i += 1
+        }
+        val distinct = java.util.Arrays.copyOf(all, n)
         srcCodesCache(b) =
-          if (all.length <= MaxSrcValuesPerExample) all
-          else Sampling.shuffle(all, rnd).take(MaxSrcValuesPerExample)
+          if (n <= MaxSrcValuesPerExample) distinct
+          else Sampling.shuffle(distinct, rnd).take(MaxSrcValuesPerExample)
       }
       srcCodesCache(b)
     }
 
-    // Per candidate id: the number of sampled examples that induced it, and
-    // the last one counted (+ 1), so an example counts a candidate once.
-    val counts = mutable.LongMap.empty[Int]
-    val lastExample = mutable.LongMap.empty[Int]
+    // Per candidate id, the number of sampled examples that induced it; an
+    // example counts a candidate once.
+    val counts = induced.counts
     var si = 0
     while (si < sampled.length) {
       val p = sampled(si)
       val out = col.tgt(targets(p))
       val vals = srcCodes(blocks(p))
+      counts.nextExample()
       var vi = 0
       while (vi < vals.length) {
         val gen = induced(attr, vals(vi), out)
         var gi = 0
         while (gi < gen.length) {
-          val id = gen(gi).id
-          if (lastExample.getOrElse(id, 0) != si + 1) {
-            lastExample(id) = si + 1
-            counts(id) = counts.getOrElse(id, 0) + 1
-          }
+          counts.add(gen(gi).id)
           gi += 1
         }
         vi += 1
@@ -102,11 +106,11 @@ object Induction {
     val threshold =
       if (sampled.length >= k) cfg.significanceCount
       else math.max(1, math.ceil(cfg.theta * sampled.length / 2.0).toInt)
-    val survivors = counts.iterator.collect { case (id, n) if n >= threshold => induced(id.toInt) }.toArray
+    val survivors = counts.drain(threshold).map(induced(_))
     if (survivors.isEmpty) return Nil
 
     // --- ranking by sampled histogram overlap minus description length ---
-    val ranked = rankByOverlap(inst, mixed, attr, survivors, cfg, rnd)
+    val ranked = rankByOverlap(inst, mixed, attr, survivors, cfg, rnd, induced.seen)
     ranked.take(cfg.beta).toList
   }
 
@@ -126,15 +130,16 @@ object Induction {
     * target-value histogram (sum of per-value minimum frequencies). The
     * final rank key is total overlap minus ψ, descending, then ψ, then
     * `describe`, which tells the candidates of one attribute apart, so the
-    * order of `candidates` does not matter.
+    * order of `candidates` does not matter. `seen` is scratch.
     */
-  def rankByOverlap(
+  private def rankByOverlap(
       inst: LocalInstance,
       mixed: Array[Block],
       attr: Int,
       candidates: Array[Candidate],
       cfg: AffidavitConfig,
       rnd: Random,
+      seen: Marks,
   ): Array[Candidate] = {
     val col = inst.encoded(attr)
     // Pool of (block, source record) pairs, as the block index repeated
@@ -149,9 +154,9 @@ object Induction {
     }
     val weighted = pool.result()
     val kPrime = cfg.rankingSampleSize
-    val chosenBlocks: Array[Int] =
-      if (weighted.length <= kPrime) weighted.distinct
-      else Sampling.shuffle(weighted, rnd).take(kPrime).distinct
+    val drawn = if (weighted.length <= kPrime) weighted else Sampling.shuffle(weighted, rnd).take(kPrime)
+    seen.clear()
+    val chosenBlocks = drawn.filter(seen.add) // distinct, in order of first draw
 
     // Per chosen block, the target histogram and the source-code histogram
     // are built once; each candidate re-buckets the source histogram
@@ -167,12 +172,15 @@ object Induction {
     var b = 0
     while (b < chosenBlocks.length) {
       val block = mixed(chosenBlocks(b))
-      block.tgt.foreach(t => tgtCount(col.tgt(t)) += 1)
+      var j = 0
+      while (j < block.tgt.length) { tgtCount(col.tgt(block.tgt(j))) += 1; j += 1 }
       var nCodes = 0
-      block.src.foreach { s =>
-        val c = col.src(s)
+      var i = 0
+      while (i < block.src.length) {
+        val c = col.src(block.src(i))
         if (srcCount(c) == 0) { srcCodes(nCodes) = c; nCodes += 1 }
         srcCount(c) += 1
+        i += 1
       }
       var ci = 0
       while (ci < candidates.length) {
@@ -200,20 +208,28 @@ object Induction {
       }
       var k = 0
       while (k < nCodes) { srcCount(srcCodes(k)) = 0; k += 1 }
-      block.tgt.foreach(t => tgtCount(col.tgt(t)) = 0)
+      j = 0
+      while (j < block.tgt.length) { tgtCount(col.tgt(block.tgt(j))) = 0; j += 1 }
       b += 1
     }
-    candidates.zipWithIndex
-      .sortBy { case (c, i) => (-(overlaps(i) - c.f.psi).toDouble, c.f.psi, c.f.describe) }
-      .map(_._1)
+    val score = Array.tabulate(candidates.length)(i => overlaps(i) - candidates(i).psi)
+    val rank: Ordering[Int] = (i, j) => {
+      val c = java.lang.Long.compare(score(j), score(i))
+      if (c != 0) c
+      else if (candidates(i).psi != candidates(j).psi) Integer.compare(candidates(i).psi, candidates(j).psi)
+      else candidates(i).describe.compareTo(candidates(j).describe)
+    }
+    candidates.indices.sorted(rank).map(candidates).toArray
   }
 }
 
 /** One candidate function of a search run: the first function any example
   * induced with its (attribute, `describe`). `id` numbers the run's
-  * candidates in order of first induction.
+  * candidates in order of first induction; `describe` and `psi` are `f`'s,
+  * computed once.
   */
-final class Candidate private[search] (val id: Int, val f: AttrFunc, col: EncodedAttr) {
+final class Candidate private[search] (val id: Int, val f: AttrFunc, val describe: String, col: EncodedAttr) {
+  val psi: Int = f.psi
 
   /** `f` on the attribute's codes, built when the candidate is first
     * ranked; every state that decides the candidate refines with it.
@@ -227,12 +243,15 @@ final class Candidate private[search] (val id: Int, val f: AttrFunc, col: Encode
   * at most one [[CodeTable]] for the run. For each (attribute, input code,
   * output code) example it keeps the candidates the example induces, in
   * generation order, so an example seen in an earlier state is not induced
-  * again.
+  * again. It also holds the run's scratch for [[Induction.induceCandidates]].
   */
 final class InducedCandidates(inst: LocalInstance, metas: List[MetaFunction]) {
   private val byId = mutable.ArrayBuffer.empty[Candidate]
   private val byDescribe = Array.fill(inst.d)(mutable.HashMap.empty[String, Candidate])
   private val byExample = Array.fill(inst.d)(mutable.LongMap.empty[Array[Candidate]])
+
+  private[search] val counts = new ExampleCounts
+  private[search] val seen = new Marks
 
   def apply(id: Int): Candidate = byId(id)
 
@@ -242,10 +261,53 @@ final class InducedCandidates(inst: LocalInstance, metas: List[MetaFunction]) {
       val inV = col.dict(in)
       val outV = col.dict(out)
       metas.iterator.flatMap(_.induceVerified(inV, outV)).map { f =>
-        byDescribe(attr).getOrElseUpdate(f.describe, {
-          byId += new Candidate(byId.length, f, col)
+        val key = f.describe
+        byDescribe(attr).getOrElseUpdate(key, {
+          byId += new Candidate(byId.length, f, key, col)
           byId.last
         })
       }.toArray
     })
+}
+
+/** Per candidate id, the number of examples of one induction call that
+  * induced it, each example counting a candidate once. Scratch of a search
+  * run: the arrays grow with the registry's ids and are never wiped; a call
+  * ends with [[drain]], which zeroes only the ids it counted.
+  */
+private[search] final class ExampleCounts {
+  private var count = new Array[Int](64)
+  private val inExample = new Marks // ids counted for the current example
+  private var touched = new Array[Int](64) // ids with a nonzero count
+  private var nTouched = 0
+
+  /** Starts counting the next example. */
+  def nextExample(): Unit = inExample.clear()
+
+  def add(id: Int): Unit =
+    if (inExample.add(id)) {
+      if (id >= count.length) count = java.util.Arrays.copyOf(count, math.max(id + 1, 2 * count.length))
+      if (count(id) == 0) {
+        if (nTouched == touched.length) touched = java.util.Arrays.copyOf(touched, 2 * nTouched)
+        touched(nTouched) = id
+        nTouched += 1
+      }
+      count(id) += 1
+    }
+
+  /** The ids counted at least `threshold` times, in order of first count;
+    * all counts are zero afterwards.
+    */
+  def drain(threshold: Int): Array[Int] = {
+    val out = mutable.ArrayBuilder.make[Int]
+    var i = 0
+    while (i < nTouched) {
+      val id = touched(i)
+      if (count(id) >= threshold) out += id
+      count(id) = 0
+      i += 1
+    }
+    nTouched = 0
+    out.result()
+  }
 }

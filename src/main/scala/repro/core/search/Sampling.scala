@@ -5,7 +5,7 @@ import scala.util.Random
 
 import repro.core.blocking.BlockingResult
 import repro.core.functions.Funcs
-import repro.core.model.LocalInstance
+import repro.core.model.{CodeMap, EncodedAttr, LocalInstance}
 
 /** Random-alignment sampling and greedy value-map induction (§4.3). */
 object Sampling {
@@ -52,13 +52,17 @@ object Sampling {
     * break deterministically by lexicographic order, `null` first). Entries
     * include identity pairs — they still cost 2 parameters each.
     */
-  def greedyMap(inst: LocalInstance, alignment: Array[(Int, Int)], attr: Int): Funcs.ValueMap = {
-    val col = inst.encoded(attr)
+  def greedyMap(inst: LocalInstance, alignment: Array[(Int, Int)], attr: Int): Funcs.ValueMap =
+    greedyCodes(inst.encoded(attr), alignment).valueMap
+
+  /** [[greedyMap]] on the codes of `col`, before any value is looked up. */
+  def greedyCodes(col: EncodedAttr, alignment: Array[(Int, Int)]): GreedyMap = {
     // (source code, target code) pairs, sorted: equal pairs form runs, and
     // the runs of one source code come in target value order.
     val pairs = alignment.map { case (s, t) => (col.src(s).toLong << 32) | col.tgt(t).toLong }
     java.util.Arrays.sort(pairs)
-    val entries = Map.newBuilder[String, String]
+    val keys = mutable.ArrayBuilder.make[Int]
+    val values = mutable.ArrayBuilder.make[Int]
     var i = 0
     while (i < pairs.length) {
       val sv = (pairs(i) >>> 32).toInt
@@ -70,8 +74,32 @@ object Sampling {
         while (i < pairs.length && pairs(i) == pair) { run += 1; i += 1 }
         if (run > bestCount) { best = pair.toInt; bestCount = run }
       }
-      entries += col.dict(sv) -> col.dict(best)
+      keys += sv
+      values += best
     }
-    Funcs.ValueMap(entries.result())
+    new GreedyMap(col, keys.result(), values.result())
   }
+}
+
+/** A greedy value map on the codes of one attribute: source code `keys(i)`
+  * maps to target code `values(i)`, keys ascending, and every other code
+  * maps to itself. ψ counts 2 per entry, as for the [[Funcs.ValueMap]] it
+  * stands for; [[valueMap]] builds that map's strings.
+  */
+final class GreedyMap private[search] (col: EncodedAttr, keys: Array[Int], values: Array[Int]) extends CodeMap {
+  private lazy val to = { // target code + 1; 0 = no entry
+    val t = new Array[Int](col.size)
+    keys.indices.foreach(i => t(keys(i)) = values(i) + 1)
+    t
+  }
+
+  def psi: Int = 2 * keys.length
+
+  def apply(c: Int): Int = {
+    val t = to(c)
+    if (t == 0) c else t - 1
+  }
+
+  def valueMap: Funcs.ValueMap =
+    Funcs.ValueMap(keys.indices.iterator.map(i => col.dict(keys(i)) -> col.dict(values(i))).toMap)
 }

@@ -54,7 +54,7 @@ final case class State(slots: Vector[Slot])(val from: Option[State.Step] = None)
     State(slots.updated(attr, Decided(table.f)))(Some(State.Step(blocking, attr, table)))
 
   /** Σ ψ over decided assignments — the c_f component of the state cost. */
-  def cf: Int = slots.collect { case Decided(f) => f.psi }.sum
+  lazy val cf: Int = slots.collect { case Decided(f) => f.psi }.sum
 
   /** Stable signature for duplicate detection in the queue. */
   lazy val signature: String =

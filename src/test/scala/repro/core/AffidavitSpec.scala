@@ -163,6 +163,42 @@ class AffidavitSpec extends AnyFunSuite {
     assert(res.cost == Costs.explanationCost(i, res.explanation, 0.5))
   }
 
+  test("a greedy map with a null key is explained validly at its true cost") {
+    // Every third value is null in S and "z" in T, so the map of `v` takes a
+    // null key next to the others.
+    val src = (1 to 30).map(i => Seq(s"k$i", if (i % 3 == 0) null else s"v${i % 5}"))
+    val tgt = (1 to 30).map(i => Seq(s"k$i", if (i % 3 == 0) "z" else s"w${7 * i % 5}"))
+    val i = inst(src, tgt, "k", "v")
+    val res = Affidavit.run(i, AffidavitConfig.hidConfig(1), InitStrategy.Id)
+    assert(res.explanation.funcs(1).asInstanceOf[ValueMap].map.contains(null), res.explanation.funcs)
+    assert(res.explanation.isValidFor(i))
+    assert(res.cost == Costs.explanationCost(i, res.explanation, 0.5))
+  }
+
+  test("edge cases: empty sides, one attribute, duplicate rows, non-ASCII values") {
+    val rows = Seq(Seq("a", "1"), Seq("b", "2"), Seq("c", "3"))
+    val cases = Seq(
+      "empty S" -> inst(Nil, rows, "x", "y"),
+      "empty T" -> inst(rows, Nil, "x", "y"),
+      "both empty" -> inst(Nil, Nil, "x", "y"),
+      "d = 1" -> inst(Seq(Seq("a"), Seq("b"), Seq("c"), Seq("c")), Seq(Seq("A"), Seq("B"), Seq("C"), Seq("x")), "x"),
+      "duplicate rows" -> inst(
+        Seq(Seq("k1", "v"), Seq("k1", "v"), Seq("k2", "w"), Seq("k2", "w"), Seq("k3", "u")),
+        Seq(Seq("k1", "v"), Seq("k2", "w"), Seq("k2", "w"), Seq("k2", "w"), Seq("k4", "u")),
+        "k", "v"),
+      "non-ASCII" -> inst(
+        (1 to 12).map(j => Seq(s"schlüssel-$j", s"münchen-$j", "日本")),
+        (1 to 12).map(j => Seq(s"schlüssel-$j", s"MÜNCHEN-$j", "日本😀")),
+        "k", "stadt", "land"),
+    )
+    for ((name, i) <- cases; init <- Seq(InitStrategy.Id, InitStrategy.Blank)) {
+      val res = Affidavit.run(i, AffidavitConfig.hidConfig(3), init)
+      assert(res.explanation.isValidFor(i), s"$name $init")
+      assert(res.cost == Costs.explanationCost(i, res.explanation, 0.5), s"$name $init")
+      assert(Affidavit.run(i, AffidavitConfig.hidConfig(3), init) == res, s"$name $init")
+    }
+  }
+
   test("values containing U+0001 are explained validly at their true cost") {
     val i = inst(Seq(Seq("x\u0001y", "z")), Seq(Seq("x", "y\u0001z")), "a", "b")
     val res = Affidavit.run(i, AffidavitConfig.hidConfig(1), InitStrategy.Id)

@@ -32,16 +32,14 @@ class BlockingOracleSpec extends AnyFunSuite {
     LocalBlocking.block(inst, decided).blocks.toSeq.map(b => (b.src.toSeq, b.tgt.toSeq))
 
   /** Functions worth trying on attribute `a`: identity, a constant no
-    * record holds, additions, a map over some of the attribute's values and
-    * whatever `extra` holds.
+    * record holds, additions, a map over some of the attribute's values
+    * (`null` among them) and whatever `extra` holds.
     */
   private def funcsFor(inst: LocalInstance, a: Int, rnd: Random, extra: Seq[AttrFunc]): Seq[AttrFunc] = {
     val values = (inst.source.map(_(a)) ++ inst.target.map(_(a))).distinct
-    val keys = values.filter(_ != null) // ValueMap.describe sorts its keys
-    val maps =
-      if (keys.isEmpty) Nil
-      else Seq(ValueMap(Seq.fill(3)(keys(rnd.nextInt(keys.length)) -> values(rnd.nextInt(values.length))).toMap))
-    Seq(Identity, Const("never-seen"), Const(values.head), Add(BigDecimal(1)), Add(BigDecimal(-0.5))) ++ maps ++ extra
+    def value() = values(rnd.nextInt(values.length))
+    val map = ValueMap(Seq.fill(3)(value() -> value()).toMap)
+    Seq(Identity, Const("never-seen"), Const(values.head), Add(BigDecimal(1)), Add(BigDecimal(-0.5)), map) ++ extra
   }
 
   private def blocksOf(b: BlockingResult): Seq[(Seq[Int], Seq[Int])] =
@@ -97,6 +95,32 @@ class BlockingOracleSpec extends AnyFunSuite {
     }
   }
 
+  /** On random states: the greedy map `Affidavit#extensions` costs on codes
+    * costs what the `ValueMap` that `Sampling.greedyMap` builds from the same
+    * alignment costs, and `finalizeMaps` assigns the maps `Sampling.greedyMap`
+    * builds from the alignments it draws.
+    */
+  private def checkGreedy(inst: LocalInstance, rnd: Random, extra: Int => Seq[AttrFunc], rounds: Int): Unit = {
+    val aff = new Affidavit(inst, AffidavitConfig(seed = 1))
+    for (_ <- 1 to rounds) {
+      val h = randomState(inst, rnd, extra)
+      val blocking = LocalBlocking.block(inst, h.decided)
+      val alignment = Sampling.randomAlignment(blocking, rnd)
+      for (a <- h.undecided) {
+        val g = Sampling.greedyMap(inst, alignment, a)
+        assert(aff.greedyMapCost(h, blocking, a, alignment) == aff.refinedCost(h, blocking, a, g), s"$a ${h.signature}")
+      }
+      val seed = rnd.nextLong()
+      val end = aff.finalizeMaps(h, h.undecided, new Random(seed))
+      val replay = new Random(seed)
+      val expected = h.undecided.foldLeft(h) { (cur, a) =>
+        val alignment = Sampling.randomAlignment(LocalBlocking.block(inst, cur.decided), replay)
+        cur.assign(a, Sampling.greedyMap(inst, alignment, a))
+      }
+      assert(end.slots == expected.slots, h.signature)
+    }
+  }
+
   private val runningExampleFuncs: Int => Seq[AttrFunc] = {
     case 2 => Seq(PrefixReplace("9999123", "2018070"))
     case 4 => Seq(Div(BigDecimal(1000)))
@@ -145,6 +169,13 @@ class BlockingOracleSpec extends AnyFunSuite {
     val rnd = new Random(6)
     for ((inst, funcs) <- generatedInstances(rnd)) checkRefine(inst, rnd, funcs, rounds = 8)
     for (inst <- nullTables(rnd)) checkRefine(inst, rnd, _ => Seq(Upper, Const(null)), rounds = 6)
+  }
+
+  test("greedy maps costed on codes cost what their value maps cost; finalize assigns them") {
+    checkGreedy(RunningExample.instance, new Random(13), runningExampleFuncs, rounds = 20)
+    val rnd = new Random(7)
+    for ((inst, funcs) <- generatedInstances(rnd)) checkGreedy(inst, rnd, funcs, rounds = 8)
+    for (inst <- nullTables(rnd)) checkGreedy(inst, rnd, _ => Seq(Upper, Const(null)), rounds = 6)
   }
 
   test("shuffle permutes and draws like Random.shuffle") {

@@ -95,6 +95,10 @@ class FuncsSpec extends AnyFunSuite {
   test("value mapping ψ counts 2 per entry including identity entries") {
     assert(ValueMap(Map("a" -> "b", "c" -> "c")).psi == 4)
   }
+  test("value mapping with a null key lists it first") {
+    assert(ValueMap(Map((null: String) -> "a", "b" -> "c")).describe == "map(null->a,b->c)")
+    assert(ValueMap(Map("b" -> null, (null: String) -> null, "a" -> "x")).describe == "map(null->null,a->x,b->null)")
+  }
   test("paper's f_ID2 has ψ = 26") {
     assert(ValueMap(repro.core.model.RunningExample.id2Map).psi == 26)
   }

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.core.model.{LocalInstance, RunningExample}
-import repro.core.search.{Affidavit, AffidavitConfig, InitStrategy}
+import repro.core.search.{Affidavit, AffidavitConfig, Induction, InitStrategy}
 import repro.gen.{Dataset, ProblemGen}
 
 /** Pinned outcomes of whole searches (`H^id`, and one `H^s`-style β = 1
@@ -91,6 +91,24 @@ class SearchGoldenSpec extends SparkSpec {
       ).mkString("|"),
       deleted = Seq(1, 4, 8, 9, 12, 20) ++ (22 to 70),
       inserted = Seq(1, 4, 8, 9, 12, 20) ++ (22 to 70))
+  }
+
+  test("a mixed block with more than MaxSrcValuesPerExample distinct source values, seed 1") {
+    // Every record shares `grp`, so the start state {grp ↦ id} has one mixed
+    // block, and each example on `name` there tries 4096 of its 8200
+    // distinct values, drawn from `rnd`. Only every tenth target holds a
+    // structured value (`u<i>-x`); whether `suffix(-x)` reaches the
+    // significance threshold depends on which values were drawn.
+    val n = 8200
+    val src = Array.tabulate(n)(i => Array("g", s"u$i"))
+    val name = (i: Int) => if (i % 10 == 0) s"u$i-x" else s"${i * 7919 % 10007}#"
+    val tgt = Array.tabulate(n)(i => Array("g", name(i))).drop(60) ++ Array.tabulate(30)(i => Array("g", s"new$i"))
+    assert(n > 2 * Induction.MaxSrcValuesPerExample)
+    check(
+      LocalInstance(Vector("grp", "name"), src, tgt), seed = 1, polls = 2, states = 5, cost = 14713.0,
+      funcs = "id|suffix(-x)",
+      deleted = (0 until n).filterNot(i => i % 10 == 0 && i >= 60),
+      inserted = (0 until n - 60).filter(j => (j + 60) % 10 != 0) ++ (n - 60 until n - 30))
   }
 
   test("abalone, 300 rows, η = τ = 0.5, seed 2, β = 1 from id attributes {1, 2, 3}") {
