@@ -8,14 +8,17 @@ import scala.collection.mutable
   * states. A full level accepts a new state only if it is not worse than
   * every state currently on that level, evicting the worst to make room.
   * Polling returns the globally cheapest state; ties break towards more
-  * assignments. Duplicate states (by signature) are never re-admitted.
+  * assignments. Duplicate states (equal slots, see [[State]]) are never
+  * re-admitted.
   */
 final class LevelQueue(queueWidth: Int) {
 
   private final case class Entry(state: State, cost: Double)
 
   private val levels = mutable.Map.empty[Int, mutable.ArrayBuffer[Entry]]
-  private val seen = mutable.HashSet.empty[String]
+  // The slots of every state offered: exactly a state's equality, without
+  // holding on to the parent blocking its `from` carries.
+  private val seen = mutable.HashSet.empty[Vector[Slot]]
 
   def capacity(level: Int): Int = math.max(1, queueWidth - level + 1)
 
@@ -25,7 +28,7 @@ final class LevelQueue(queueWidth: Int) {
 
   /** Offer a state; returns true if it was admitted. */
   def offer(state: State, cost: Double): Boolean = {
-    if (!seen.add(state.signature)) return false
+    if (!seen.add(state.slots)) return false
     val buf = levels.getOrElseUpdate(state.level, mutable.ArrayBuffer.empty)
     val cap = capacity(state.level)
     if (buf.size < cap) {

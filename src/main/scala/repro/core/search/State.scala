@@ -56,7 +56,10 @@ final case class State(slots: Vector[Slot])(val from: Option[State.Step] = None)
   /** Σ ψ over decided assignments — the c_f component of the state cost. */
   lazy val cf: Int = slots.collect { case Decided(f) => f.psi }.sum
 
-  /** Stable signature for duplicate detection in the queue. */
+  /** A readable name of the decided slots. It seeds each extension's
+    * random draws (`Affidavit#extensions`); it is not a key, because a
+    * `ValueMap`'s `describe` shows only its first entries.
+    */
   lazy val signature: String =
     slots.zipWithIndex.collect { case (Decided(f), i) => s"$i=${f.describe}" }.mkString(";")
 }

@@ -1,6 +1,7 @@
 package repro.gen
 
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 import scala.util.Random
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
@@ -141,15 +142,15 @@ object ProblemGen {
 
   /** Expose a snapshot as a DataFrame (column `__row` is the local record
     * index) for the Spark components (overlap matcher, diff, oracle tests).
+    * It is a local relation over the driver-side rows, so collecting it
+    * runs no Spark job.
     */
   def toDf(spark: SparkSession, inst: LocalInstance, side: Array[Array[String]]): DataFrame = {
     val schema = StructType(
       StructField("__row", LongType, nullable = false) +:
         inst.attrs.map(a => StructField(a, StringType, nullable = true)))
     val rows = side.zipWithIndex.map { case (r, i) => Row.fromSeq(i.toLong +: r.toSeq) }
-    spark.createDataFrame(
-      spark.sparkContext.parallelize(rows.toIndexedSeq, math.max(1, side.length / 20000)),
-      schema)
+    spark.createDataFrame(rows.toSeq.asJava, schema)
   }
 }
 

@@ -8,8 +8,7 @@ import org.scalatest.funsuite.AnyFunSuite
   * Driver heap is `-Xmx` of SPARK_DRIVER_MEM, set via `Test / javaOptions`
   * in build.sbt (48g when unset, so set it to fit the machine).
   * Automatic broadcast joins are disabled, so joins take the
-  * shuffle path unless a query asks for `broadcast(...)` itself, as the
-  * `H^s` overlap matcher does.
+  * shuffle path unless a query asks for `broadcast(...)` itself.
   */
 trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared

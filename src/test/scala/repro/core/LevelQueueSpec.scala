@@ -65,6 +65,30 @@ class LevelQueueSpec extends AnyFunSuite {
     assert(q.isEmpty)
   }
 
+  test("end states whose greedy maps share their first four entries and size are both admitted") {
+    // describe shows a map's first four entries and its size, so the two
+    // end states have one signature but are different states.
+    val common = Map("a" -> "1", "b" -> "2", "c" -> "3", "d" -> "4")
+    val h1 = State.blank(2).assign(0, Const("x")).assign(1, ValueMap(common + ("e" -> "5")))
+    val h2 = State.blank(2).assign(0, Const("x")).assign(1, ValueMap(common + ("e" -> "6")))
+    val h3 = State.blank(2).assign(0, Const("x")).assign(1, ValueMap(common + ("f" -> "5")))
+    assert(h1.signature == h2.signature && h1.signature == h3.signature)
+    val q = new LevelQueue(5)
+    assert(q.offer(h1, 1.0))
+    assert(q.offer(h2, 1.0))
+    assert(q.offer(h3, 1.0))
+    assert(!q.offer(State.blank(2).assign(0, Const("x")).assign(1, ValueMap(common + ("e" -> "5"))), 0.5))
+    assert(q.size == 3)
+  }
+
+  test("a null map key and the string \"null\" key make different states") {
+    val h1 = State.blank(1).assign(0, ValueMap(Map((null: String) -> "a")))
+    val h2 = State.blank(1).assign(0, ValueMap(Map("null" -> "a")))
+    assert(h1.signature == h2.signature)
+    val q = new LevelQueue(5)
+    assert(q.offer(h1, 1.0) && q.offer(h2, 1.0))
+  }
+
   test("different levels have independent bounds") {
     val q = new LevelQueue(2)
     assert(q.offer(state(4, 0 -> "a"), 1.0))

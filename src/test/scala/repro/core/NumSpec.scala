@@ -46,6 +46,50 @@ class NumSpec extends AnyFunSuite with PropHelpers {
     })
   }
 
+  test("rejects non-ASCII digits") {
+    assert(Num.parse("\u0663").isEmpty) // Arabic-Indic three
+    assert(Num.parse("\uff11").isEmpty) // fullwidth one
+    assert(Num.parse("1\u0663").isEmpty)
+  }
+
+  test("length limits: 18 whole digits, 12 fraction digits, 24 characters") {
+    assert(Num.parse("9" * 18).isDefined && Num.parse("9" * 19).isEmpty)
+    assert(Num.parse("1." + "5" * 12).isDefined && Num.parse("1." + "5" * 13).isEmpty)
+    assert(Num.parse(" " + "1" * 11 + "." + "2" * 12 + " ").isDefined) // 24 characters once trimmed
+    assert(Num.parse("-" + "1" * 11 + "." + "2" * 12).isEmpty) // 25 characters
+  }
+
+  test("property: the scanner accepts exactly what the plain-decimal regex accepts") {
+    // The check parse made with a regex before it scanned by hand.
+    val regex = """[+-]?\d{1,18}(\.\d{1,12})?""".r.pattern
+    def byRegex(s: String): Boolean = {
+      val t = s.trim
+      t.nonEmpty && t.length <= 24 && regex.matcher(t).matches()
+    }
+    val char = Gen.frequency(
+      8 -> Gen.numChar,
+      1 -> Gen.oneOf('+', '-'),
+      1 -> Gen.const('.'),
+      1 -> Gen.oneOf(' ', '\t'),
+      1 -> Gen.oneOf('\u0663', '\uff11', '\u0966'), // non-ASCII digits
+      1 -> Gen.oneOf('a', 'e', 'E', 'x'))
+    val noise = Gen.choose(0, 34).flatMap(Gen.listOfN(_, char)).map(_.mkString)
+    // Near-valid shapes around the 18 / 12 / 24 limits.
+    val shaped = for {
+      sign <- Gen.oneOf("", "+", "-")
+      whole <- Gen.choose(0, 20)
+      frac <- Gen.oneOf(Gen.const(-1), Gen.choose(0, 14))
+      pad <- Gen.oneOf("", " ", "\t", " \n")
+      digits <- Gen.listOfN(whole + math.max(frac, 0), Gen.frequency(20 -> Gen.numChar, 1 -> char))
+    } yield {
+      val (w, f) = digits.mkString.splitAt(whole)
+      pad + sign + w + (if (frac < 0) "" else "." + f) + pad
+    }
+    checkProp(Prop.forAll(Gen.oneOf(noise, shaped)) { s =>
+      Num.parse(s).isDefined == byRegex(s)
+    }, minSuccessful = 5000)
+  }
+
   test("property: parse accepts what canon emits") {
     val genNum = Gen.chooseNum(-100000L, 100000L).map(BigDecimal(_))
     checkProp(Prop.forAll(genNum)(b => Num.parse(Num.canon(b)).contains(b)))

@@ -1,7 +1,11 @@
 package repro.spark
 
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 import scala.util.Random
+
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType}
 
 import repro.SparkSpec
 import repro.core.model.{LocalInstance, RunningExample}
@@ -44,6 +48,97 @@ class OverlapMatcherOracleSpec extends SparkSpec {
     val got = OverlapMatcher.compute(
       ProblemGen.toDf(spark, inst, inst.source), ProblemGen.toDf(spark, inst, inst.target), inst.attrs, maxBlock)
     assert(got == oracle(inst.source, inst.target, inst.d, maxBlock), s"maxBlock=$maxBlock")
+  }
+
+  private def schema(attrs: Seq[String]) = StructType(
+    StructField("__row", LongType, nullable = false) +: attrs.map(StructField(_, StringType, nullable = true)))
+
+  private def sparkRows(rows: Seq[(Long, Array[String])]): Seq[Row] =
+    rows.map { case (rid, r) => Row.fromSeq(rid +: r.toSeq) }
+
+  /** A snapshot whose records carry the given row ids, as a local relation. */
+  private def localDf(attrs: Seq[String], rows: Seq[(Long, Array[String])]): DataFrame =
+    spark.createDataFrame(sparkRows(rows).asJava, schema(attrs))
+
+  /** The same snapshot as a DataFrame over an RDD of `slices` partitions. */
+  private def rddDf(attrs: Seq[String], rows: Seq[(Long, Array[String])], slices: Int): DataFrame =
+    spark.createDataFrame(spark.sparkContext.parallelize(sparkRows(rows), slices), schema(attrs))
+
+  /** Each record of `side` with the row id `ids` gives it, in a shuffled order. */
+  private def withIds(side: Array[Array[String]], ids: Seq[Long], rnd: Random): Seq[(Long, Array[String])] =
+    rnd.shuffle(ids.zip(side.toSeq))
+
+  test("empty source, empty target and both empty: no pairs, as the oracle says") {
+    val rows = RunningExample.instance.source
+    val none = Array.empty[Array[String]]
+    for ((s, t) <- Seq((none, rows), (rows, none), (none, none))) {
+      val inst = LocalInstance(RunningExample.instance.attrs, s, t)
+      check(inst, 100000L)
+      assert(oracle(s, t, inst.d, 100000L) == OverlapResult(Set.empty, 0, 0L))
+    }
+  }
+
+  test("a single attribute: the matcher agrees with the oracle") {
+    val rnd = new Random(5)
+    for (_ <- 1 to 4) {
+      val s = Array.fill(1 + rnd.nextInt(10))(Array(rnd.nextInt(4).toString))
+      val t = Array.fill(1 + rnd.nextInt(10))(Array(rnd.nextInt(4).toString))
+      for (maxBlock <- Seq(1L, 6L, 100000L)) check(LocalInstance(Vector("x"), s, t), maxBlock)
+    }
+  }
+
+  test("duplicate source and target rows: the matcher agrees with the oracle") {
+    val a = Array("a", "b", "c")
+    val b = Array("a", "x", "c")
+    val c = Array("y", "b", "z")
+    val inst = LocalInstance(Vector("p", "q", "r"), Array(a, a, b, a), Array(b, b, c, a, a, c))
+    for (maxBlock <- Seq(2L, 6L, 100000L)) check(inst, maxBlock)
+  }
+
+  test("non-ASCII values and values holding U+0001: the matcher agrees with the oracle") {
+    val rnd = new Random(23)
+    val values = Array("é", "日本", "a\u0001b", "a", "\u0001", "b\u0001", null, "Ａ")
+    def row() = Array.fill(3)(values(rnd.nextInt(values.length)))
+    for (_ <- 1 to 6) {
+      val inst = LocalInstance(Vector("x", "y", "z"), Array.fill(1 + rnd.nextInt(9))(row()), Array.fill(1 + rnd.nextInt(9))(row()))
+      for (maxBlock <- Seq(3L, 100000L)) check(inst, maxBlock)
+    }
+  }
+
+  test("gapped, out-of-order row ids: ties go to the smallest row id, not the first position") {
+    // One source (a, b); two targets that tie with score 1 but match on
+    // different attributes. The first in position order has row id 9, the
+    // other row id 2, so the best pair matches on attribute 1.
+    val attrs = Vector("x", "y")
+    val s = localDf(attrs, Seq(40L -> Array("a", "b")))
+    val t = localDf(attrs, Seq(9L -> Array("a", "u"), 2L -> Array("v", "b")))
+    assert(OverlapMatcher.compute(s, t, attrs) == OverlapResult(Set(1), 1, 1L))
+
+    val rnd = new Random(31)
+    val values = Array("a", "b", "c")
+    def row() = Array.fill(3)(values(rnd.nextInt(values.length)))
+    for (_ <- 1 to 8) {
+      val source = Array.fill(1 + rnd.nextInt(8))(row())
+      val target = Array.fill(1 + rnd.nextInt(8))(row())
+      // Distinct ids with gaps, ascending in the rows given to the oracle.
+      def ids(n: Int) = (1 to n).scanLeft(rnd.nextInt(5).toLong)((id, _) => id + 1 + rnd.nextInt(7)).take(n)
+      val sDf = localDf(attrs :+ "z", withIds(source, ids(source.length), rnd))
+      val tDf = localDf(attrs :+ "z", withIds(target, ids(target.length), rnd))
+      for (maxBlock <- Seq(2L, 100000L))
+        assert(OverlapMatcher.compute(sDf, tDf, attrs :+ "z", maxBlock) == oracle(source, target, 3, maxBlock))
+    }
+  }
+
+  test("a DataFrame over an RDD gives the local relation's result") {
+    val ds = ProblemGen.collectDataset(spark, "abalone")
+    val inst = ProblemGen.generate(ds.copy(rows = ds.rows.take(300)), 0.3, 0.3, 4L).inst
+    val rnd = new Random(3)
+    def rdd(side: Array[Array[String]]) = rddDf(inst.attrs, withIds(side, side.indices.map(_.toLong), rnd), 3)
+    val got = OverlapMatcher.compute(rdd(inst.source), rdd(inst.target), inst.attrs)
+    val local = OverlapMatcher.compute(
+      ProblemGen.toDf(spark, inst, inst.source), ProblemGen.toDf(spark, inst, inst.target), inst.attrs)
+    assert(got == local)
+    assert(got == oracle(inst.source, inst.target, inst.d, 100000L))
   }
 
   test("running example: the matcher agrees with the oracle for every block bound") {

@@ -1,6 +1,8 @@
 package repro.spark
 
-import org.apache.spark.JobCounter
+import org.apache.spark.{BroadcastBlocks, JobCounter}
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
 
 import repro.SparkSpec
 import repro.core.model.{LocalInstance, RunningExample}
@@ -76,11 +78,23 @@ class OverlapMatcherSpec extends SparkSpec {
     assert(res.pairs == 0 && res.idAttrs.isEmpty)
   }
 
-  test("one compute call runs in five Spark jobs") {
-    // Two broadcast row lookups, the two shuffle rounds and the result
-    // stage. A plan change that adds a round must update this count.
+  test("one compute call runs in one Spark job") {
+    // Both snapshots are local relations, collected without a job; the one
+    // job is the scoring stage. A plan change that adds a job or a shuffle
+    // must update this count.
     val (res, jobs) = JobCounter(spark.sparkContext)(OverlapMatcher.compute(sDf, tDf, inst.attrs))
     assert(res.pairs > 0)
-    assert(jobs == 5, s"$jobs jobs")
+    assert(jobs == 1, s"$jobs jobs")
+  }
+
+  test("repeated compute calls leave no broadcast blocks on the driver") {
+    val sc = spark.sparkContext
+    val before = BroadcastBlocks.held(sc)
+    for (_ <- 1 to 3) OverlapMatcher.compute(sDf, tDf, inst.attrs)
+    // `destroy` removes the blocks asynchronously.
+    eventually(timeout(10.seconds)) {
+      val left = BroadcastBlocks.held(sc) -- before
+      assert(left.isEmpty, s"broadcasts $left still held")
+    }
   }
 }
