@@ -27,7 +27,7 @@ class BaselineBench extends AnyFunSuite with SparkSpec {
       val tDf = ProblemGen.toDf(spark, p.inst, p.inst.target)
       val truth = p.reference.alignment.map { case (a, b) => (a.toLong, b.toLong) }.toSet
       val keyedAcc = SnapshotDiff.keyAlignmentAccuracy(sDf, tDf, Seq("pk"), truth)
-      val affidavit = Protocol.evaluate(spark, p, Protocol.Hid)
+      val affidavit = Protocol.evaluate(p, Protocol.Hid)
       println(f"$name%-12s $keyedAcc%12.3f  ${affidavit.acc}%16.3f")
       assert(keyedAcc < 0.2, s"$name: keyed baseline unexpectedly good ($keyedAcc)")
       assert(affidavit.acc > keyedAcc, s"$name: Affidavit should beat the keyed baseline")

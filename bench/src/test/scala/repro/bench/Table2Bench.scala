@@ -1,5 +1,6 @@
 package repro.bench
 
+import java.nio.charset.StandardCharsets.UTF_8
 import java.nio.file.{Files, Paths, StandardOpenOption}
 
 import scala.collection.mutable
@@ -51,9 +52,9 @@ class Table2Bench extends AnyFunSuite with SparkSpec {
     val tsv = new StringBuilder("dataset\teta\ttau\tconfig\tinstances\tt\tdCore\tdCosts\tacc\n")
     for (r <- agg.sortBy(r => (r.dataset, r.config, r.eta)))
       tsv.append(f"${r.dataset}\t${r.eta}%.1f\t${r.tau}%.1f\t${r.config}\t${r.instances}\t${r.seconds}%.3f\t${r.dCore}%.3f\t${r.dCosts}%.3f\t${r.acc}%.3f\n")
-    Files.write(dir.resolve("table2.tsv"), tsv.toString.getBytes,
+    Files.write(dir.resolve("table2.tsv"), tsv.toString.getBytes(UTF_8),
       StandardOpenOption.CREATE, StandardOpenOption.TRUNCATE_EXISTING)
-    Files.write(dir.resolve("table2_report.txt"), report.getBytes,
+    Files.write(dir.resolve("table2_report.txt"), report.getBytes(UTF_8),
       StandardOpenOption.CREATE, StandardOpenOption.TRUNCATE_EXISTING)
 
     // Shape assertions against the paper (not absolute numbers):

@@ -17,20 +17,20 @@ import scala.jdk.CollectionConverters._
   */
 object Oracle {
 
-  private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {
+  /** Sorted rows of cells in column-name order; `null` is `None`, unequal to every string. */
+  private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[Option[String]]] = {
     val order = cols.sorted
     val idx   = order.map(cols.indexOf)
     rows
       .map(r => idx.map { i =>
-        r.get(i) match {
-          case null                 => "∅"
+        Option(r.get(i)).map {
           case d: Double            => f"$d%.6f"
           case f: Float             => f"${f.toDouble}%.6f"
           case bd: java.math.BigDecimal => f"${bd.doubleValue}%.6f"
           case x                    => x.toString
         }
       })
-      .sortBy(_.mkString(""))
+      .sorted(Ordering.Implicits.seqOrdering[Seq, Option[String]])
   }
 
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {

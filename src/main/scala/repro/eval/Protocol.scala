@@ -1,10 +1,8 @@
 package repro.eval
 
-import org.apache.spark.sql.SparkSession
-
 import repro.core.model.Costs
 import repro.core.search.{Affidavit, AffidavitConfig, InitStrategy}
-import repro.gen.{Problem, ProblemGen}
+import repro.gen.Problem
 import repro.spark.OverlapMatcher
 import repro.spark.OverlapMatcher.OverlapResult
 
@@ -31,37 +29,30 @@ object Protocol {
 
   /** Run one configuration on one problem instance and judge the result.
     *
-    * `Hs` computes its start state with the Spark overlap matcher (the
-    * timing includes that step, as in the paper); `Hid` starts from the
+    * `Hs` computes its start state with the overlap matcher (the timing
+    * includes that step, as in the paper); `Hid` starts from the
     * one-id-per-attribute state set.
     */
-  def evaluate(spark: SparkSession, problem: Problem, config: String): RunResult = {
+  def evaluate(problem: Problem, config: String): RunResult = {
     val t0 = System.nanoTime()
-    val (cfg, init, _) = configure(spark, problem, config)
+    val (cfg, init, _) = configure(problem, config)
     val res = Affidavit.run(problem.inst, cfg, init)
     val seconds = (System.nanoTime() - t0) / 1e9
     judge(problem, res, seconds, config, cfg.alpha)
   }
 
   /** The search configuration and start strategy of a configuration; `Hs`
-    * runs the Spark overlap matcher here and also returns its result.
+    * runs the overlap matcher on the instance's encoding here and also
+    * returns its result.
     */
-  def configure(
-      spark: SparkSession,
-      problem: Problem,
-      config: String,
-  ): (AffidavitConfig, InitStrategy, Option[OverlapResult]) = {
-    val inst = problem.inst
+  def configure(problem: Problem, config: String): (AffidavitConfig, InitStrategy, Option[OverlapResult]) =
     config match {
       case Hid => (AffidavitConfig.hidConfig(problem.seed), InitStrategy.Id, None)
       case Hs =>
-        val sDf = ProblemGen.toDf(spark, inst, inst.source)
-        val tDf = ProblemGen.toDf(spark, inst, inst.target)
-        val overlap = OverlapMatcher.compute(sDf, tDf, inst.attrs)
+        val overlap = OverlapMatcher.compute(problem.inst.encoded, OverlapMatcher.MaxBlock)
         (AffidavitConfig.hsConfig(problem.seed), InitStrategy.Overlap(overlap.idAttrs), Some(overlap))
       case other => sys.error(s"unknown config: $other")
     }
-  }
 
   /** Compute the §5.2 metrics for a finished run. */
   def judge(

@@ -57,7 +57,7 @@ object Table2 {
       problem = ProblemGen.generate(ds, eta, tau, seedBase + 1000L * si + i)
       config <- configs
     } yield {
-      val r = Protocol.evaluate(spark, problem, config)
+      val r = Protocol.evaluate(problem, config)
       log(f"${r.dataset}%-12s η=τ=${eta}%.1f #$i ${r.config}%-3s " +
         f"t=${r.seconds}%7.2fs Δcore=${r.dCore}%5.2f Δcosts=${r.dCosts}%5.2f acc=${r.acc}%5.2f")
       r

@@ -5,8 +5,8 @@ import org.apache.spark.sql.functions.col
 
 import repro.core.model.EncodedAttr
 
-/** The overlap-score initialization H^s (§4.2), run as one Spark stage over
-  * a broadcast postings index.
+/** The overlap-score initialization H^s (§4.2), scored on the driver over
+  * the dictionary-encoded snapshots.
   *
   * Candidate record pairs share a value of some attribute, skipping
   * attribute values whose source×target frequency product exceeds
@@ -21,18 +21,18 @@ import repro.core.model.EncodedAttr
   * `null` is a value equal only to itself, as in the local engine: null
   * cells share a value group and score as equal to each other.
   *
-  * The plan is an inverted-index probe (Sarawagi & Kirpal, SIGMOD 2004).
-  * The driver collects both snapshots in row-id order, dictionary-encodes
-  * each attribute (`EncodedAttr`, the search's encoding) and builds the
-  * target postings of every value the frequency filter keeps. That index is
-  * broadcast once; one stage of `defaultParallelism` tasks scores
-  * contiguous source ranges against it, and the driver collects each
-  * source's best score and match vector. No shuffle is needed because the
-  * index fits in driver memory, as the snapshots already do. On DataFrames
-  * that `ProblemGen.toDf` builds (local relations, collected without a job)
-  * a call runs one Spark job.
+  * The plan is an inverted-index probe (Sarawagi & Kirpal, SIGMOD 2004)
+  * over the search's encoding (`EncodedAttr`): the target postings of every
+  * value the frequency filter keeps, probed by each source record in turn.
+  * `compute(cols, maxBlock)` reads the codes a `LocalInstance` already holds
+  * and runs no Spark job; `compute(s, t, attrs)` collects and encodes two
+  * DataFrames first. A Spark stage over a broadcast index was slower, or at
+  * best even, on every instance measured (DESIGN.md, "Layering note").
   */
 object OverlapMatcher {
+
+  /** The paper's default maximum block size. */
+  val MaxBlock: Long = 100000L
 
   /** Result: the chosen id-attribute indices (empty ⇒ fall back to H^∅),
     * the modal best-pair score, and the number of best pairs (sources with
@@ -40,94 +40,98 @@ object OverlapMatcher {
     */
   final case class OverlapResult(idAttrs: Set[Int], modalScore: Int, pairs: Long)
 
-  /** Both snapshots as codes, row-major with `d` codes per record, plus the
-    * target postings. `first(a)` shifts attribute `a`'s codes into one code
-    * space over all attributes; the targets holding value `g` of that space
-    * are `postings(start(g) until start(g + 1))`, in ascending order, and
-    * none for a value the frequency filter drops.
+  /** The best target of each source that has a candidate: its score and
+    * which attributes it matches on.
     */
-  private final class Index(
-      d: Int,
-      val nSrc: Int,
-      nTgt: Int,
-      src: Array[Int],
-      tgt: Array[Int],
-      first: Array[Int],
-      start: Array[Int],
-      postings: Array[Int],
-  ) extends Serializable {
-
-    def hasPairs: Boolean = postings.nonEmpty
-
-    /** The best target of each source in `[lo, hi)` that has a candidate:
-      * its score and which attributes it matches on.
-      */
-    def best(lo: Int, hi: Int): Array[(Int, Array[Boolean])] = {
-      val stamp = new Array[Int](nTgt) // i + 1 once source i has scored target j
-      val out = Array.newBuilder[(Int, Array[Boolean])]
-      var i = lo
-      while (i < hi) {
-        val s = i * d
-        var bestScore = -1
-        var bestJ = -1
-        var a = 0
-        while (a < d) {
-          val g = first(a) + src(s + a)
-          var p = start(g)
-          while (p < start(g + 1)) {
-            val j = postings(p)
-            if (stamp(j) != i + 1) {
-              stamp(j) = i + 1
-              val t = j * d
-              var score = 0
-              var b = 0
-              while (b < d) { if (src(s + b) == tgt(t + b)) score += 1; b += 1 }
-              if (score > bestScore || (score == bestScore && j < bestJ)) { bestScore = score; bestJ = j }
-            }
-            p += 1
-          }
-          a += 1
-        }
-        if (bestJ >= 0) out += ((bestScore, Array.tabulate(d)(b => src(s + b) == tgt(bestJ * d + b))))
-        i += 1
+  private def bestPairs(cols: Array[EncodedAttr], maxBlock: Long): Array[(Int, Array[Boolean])] = {
+    // Both snapshots as codes, row-major with `d` codes per record.
+    // `first(a)` shifts attribute `a`'s codes into one code space over all
+    // attributes.
+    val d = cols.length
+    val nSrc = cols.headOption.fold(0)(_.src.length)
+    val nTgt = cols.headOption.fold(0)(_.tgt.length)
+    val first = cols.scanLeft(0)(_ + _.size)
+    val n = first(d)
+    def rowMajor(side: EncodedAttr => Array[Int], rows: Int, count: Array[Int]): Array[Int] = {
+      val codes = new Array[Int](rows * d)
+      for (a <- 0 until d; c = side(cols(a)); r <- 0 until rows) {
+        codes(r * d + a) = c(r)
+        count(first(a) + c(r)) += 1
       }
-      out.result()
+      codes
     }
+    val sCount = new Array[Int](n)
+    val tCount = new Array[Int](n)
+    val src = rowMajor(_.src, nSrc, sCount)
+    val tgt = rowMajor(_.tgt, nTgt, tCount)
+
+    // The targets holding value `g` are `postings(start(g) until
+    // start(g + 1))`, in ascending order: all of them for a value the
+    // frequency filter keeps, none for a value it drops.
+    val start = new Array[Int](n + 1)
+    for (g <- 0 until n) {
+      val kept = sCount(g) > 0 && tCount(g) > 0 && sCount(g).toLong * tCount(g) <= maxBlock
+      start(g + 1) = start(g) + (if (kept) tCount(g) else 0)
+    }
+    val postings = new Array[Int](start(n))
+    val fill = start.clone()
+    for (j <- 0 until nTgt; a <- 0 until d) {
+      val g = first(a) + tgt(j * d + a)
+      if (fill(g) < start(g + 1)) { postings(fill(g)) = j; fill(g) += 1 }
+    }
+
+    // Each source probes the postings of its values and scores a target on
+    // all attributes when it first finds it. A target first found after the
+    // postings of `kept` values were probed holds none of those values, so
+    // it scores at most d - kept: once that is below the best score so far,
+    // no target left can win and the source is done.
+    val stamp = new Array[Int](nTgt) // i + 1 once source i has scored target j
+    val out = Array.newBuilder[(Int, Array[Boolean])]
+    for (i <- 0 until nSrc) {
+      val s = i * d
+      var bestScore = -1
+      var bestJ = -1
+      var kept = 0
+      var a = 0
+      while (a < d && d - kept >= bestScore) {
+        val g = first(a) + src(s + a)
+        var p = start(g)
+        while (p < start(g + 1)) {
+          val j = postings(p)
+          if (stamp(j) != i + 1) {
+            stamp(j) = i + 1
+            val t = j * d
+            var score = 0
+            var b = 0
+            while (b < d) { if (src(s + b) == tgt(t + b)) score += 1; b += 1 }
+            if (score > bestScore || (score == bestScore && j < bestJ)) { bestScore = score; bestJ = j }
+          }
+          p += 1
+        }
+        if (start(g) < start(g + 1)) kept += 1
+        a += 1
+      }
+      if (bestJ >= 0) out += ((bestScore, Array.tabulate(d)(b => src(s + b) == tgt(bestJ * d + b))))
+    }
+    out.result()
   }
 
-  private object Index {
-    def apply(source: Array[Array[String]], target: Array[Array[String]], d: Int, maxBlock: Long): Index = {
-      val cols = Array.tabulate(d)(EncodedAttr(source, target, _))
-      val first = cols.scanLeft(0)(_ + _.size)
-      val n = first(d)
-      def rowMajor(side: EncodedAttr => Array[Int], rows: Int, count: Array[Int]): Array[Int] = {
-        val codes = new Array[Int](rows * d)
-        for (a <- 0 until d; (c, r) <- side(cols(a)).zipWithIndex) {
-          codes(r * d + a) = c
-          count(first(a) + c) += 1
-        }
-        codes
-      }
-      val sCount = new Array[Int](n)
-      val tCount = new Array[Int](n)
-      val src = rowMajor(_.src, source.length, sCount)
-      val tgt = rowMajor(_.tgt, target.length, tCount)
-
-      val start = new Array[Int](n + 1)
-      for (g <- 0 until n) {
-        val kept = sCount(g) > 0 && tCount(g) > 0 && sCount(g).toLong * tCount(g) <= maxBlock
-        start(g + 1) = start(g) + (if (kept) tCount(g) else 0)
-      }
-      // A kept value's range has room for each of its targets, a dropped
-      // value's range for none.
-      val postings = new Array[Int](start(n))
-      val fill = start.clone()
-      for (j <- target.indices; a <- 0 until d) {
-        val g = first(a) + tgt(j * d + a)
-        if (fill(g) < start(g + 1)) { postings(fill(g)) = j; fill(g) += 1 }
-      }
-      new Index(d, source.length, target.length, src, tgt, first, start, postings)
-    }
+  /** H^s over dictionary-encoded snapshots, one [[EncodedAttr]] per
+    * attribute (a `LocalInstance`'s `encoded`); record order is row-id order.
+    */
+  def compute(cols: Array[EncodedAttr], maxBlock: Long): OverlapResult = {
+    val best = bestPairs(cols, maxBlock)
+    if (best.isEmpty) return OverlapResult(Set.empty, 0, 0L)
+    // Modal score k' and per-attribute overlap frequency over best pairs.
+    val modal = best
+      .groupBy(_._1)
+      .toSeq
+      .maxBy { case (sc, ps) => (ps.length, sc) }
+      ._1
+    val attrCounts = cols.indices.map(i => best.count(_._2(i)))
+    val kPrime = math.max(1, modal)
+    val idAttrs = cols.indices.sortBy(i => (-attrCounts(i), i)).take(kPrime).toSet
+    OverlapResult(idAttrs, modal, best.length.toLong)
   }
 
   /** A snapshot's attribute values, one array per record, in `__row` order. */
@@ -137,34 +141,16 @@ object OverlapMatcher {
       .sortBy(_.getLong(0))
       .map(r => Array.tabulate(attrs.size)(a => r.getString(a + 1)))
 
+  /** H^s over two snapshots with a `__row` id column and the columns
+    * `attrs`, collected to the driver and encoded like a `LocalInstance`.
+    */
   def compute(
       s: DataFrame,
       t: DataFrame,
       attrs: Seq[String],
-      maxBlock: Long = 100000L,
+      maxBlock: Long = MaxBlock,
   ): OverlapResult = {
-    val d = attrs.size
-    val index = Index(rows(s, attrs), rows(t, attrs), d, maxBlock)
-    if (!index.hasPairs) return OverlapResult(Set.empty, 0, 0L)
-
-    // One task per slot, each scoring a contiguous range of sources.
-    val ctx = s.sparkSession.sparkContext
-    val p = ctx.defaultParallelism
-    val n = index.nSrc.toLong
-    val shared = ctx.broadcast(index)
-    val best =
-      try ctx.parallelize(0 until p, p).flatMap(k => shared.value.best((k * n / p).toInt, ((k + 1) * n / p).toInt)).collect()
-      finally shared.destroy()
-
-    // Modal score k' and per-attribute overlap frequency over best pairs.
-    val modal = best
-      .groupBy(_._1)
-      .toSeq
-      .maxBy { case (sc, ps) => (ps.length, sc) }
-      ._1
-    val attrCounts = Array.tabulate(d)(i => best.count(_._2(i)))
-    val kPrime = math.max(1, modal)
-    val idAttrs = (0 until d).sortBy(i => (-attrCounts(i), i)).take(kPrime).toSet
-    OverlapResult(idAttrs, modal, best.length.toLong)
+    val (source, target) = (rows(s, attrs), rows(t, attrs))
+    compute(Array.tabulate(attrs.size)(EncodedAttr(source, target, _)), maxBlock)
   }
 }

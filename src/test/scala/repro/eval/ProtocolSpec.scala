@@ -1,16 +1,20 @@
 package repro.eval
 
+import org.apache.spark.JobCounter
+
 import repro.SparkSpec
 import repro.gen.ProblemGen
+import repro.spark.OverlapMatcher
 
 class ProtocolSpec extends SparkSpec {
 
   private lazy val iris = ProblemGen.collectDataset(spark, "iris")
   private lazy val bridges = ProblemGen.collectDataset(spark, "bridges")
+  private lazy val abalone = ProblemGen.collectDataset(spark, "abalone")
 
   test("H^id explains an easy iris instance with high accuracy") {
     val p = ProblemGen.generate(iris, 0.3, 0.3, seed = 101)
-    val r = Protocol.evaluate(spark, p, Protocol.Hid)
+    val r = Protocol.evaluate(p, Protocol.Hid)
     assert(r.acc >= 0.95, s"acc ${r.acc}")
     assert(r.dCore >= 0.9, s"dCore ${r.dCore}")
     assert(r.dCosts <= 1.2, s"dCosts ${r.dCosts}")
@@ -18,20 +22,32 @@ class ProtocolSpec extends SparkSpec {
 
   test("H^s explains an easy iris instance with high accuracy") {
     val p = ProblemGen.generate(iris, 0.3, 0.3, seed = 102)
-    val r = Protocol.evaluate(spark, p, Protocol.Hs)
+    val r = Protocol.evaluate(p, Protocol.Hs)
     assert(r.acc >= 0.9, s"acc ${r.acc}")
+  }
+
+  test("configuring H^s runs no Spark job and matches the matcher on DataFrames") {
+    for (ds <- Seq(bridges, abalone); seed <- 1L to 2L) {
+      val p = ProblemGen.generate(ds, 0.3, 0.3, seed)
+      val ((_, _, overlap), jobs) = JobCounter(spark.sparkContext)(Protocol.configure(p, Protocol.Hs))
+      assert(jobs == 0, s"${ds.name}/$seed: $jobs jobs")
+      val inst = p.inst
+      val onDfs = OverlapMatcher.compute(
+        ProblemGen.toDf(spark, inst, inst.source), ProblemGen.toDf(spark, inst, inst.target), inst.attrs)
+      assert(overlap.contains(onDfs), s"${ds.name}/$seed")
+    }
   }
 
   test("H^id handles a hard bridges instance decently") {
     val p = ProblemGen.generate(bridges, 0.7, 0.7, seed = 103)
-    val r = Protocol.evaluate(spark, p, Protocol.Hid)
+    val r = Protocol.evaluate(p, Protocol.Hid)
     assert(r.acc >= 0.6, s"acc ${r.acc}")
     assert(r.dCosts <= 1.6, s"dCosts ${r.dCosts}")
   }
 
   test("metrics are reported in the expected ranges") {
     val p = ProblemGen.generate(iris, 0.5, 0.5, seed = 104)
-    val r = Protocol.evaluate(spark, p, Protocol.Hid)
+    val r = Protocol.evaluate(p, Protocol.Hid)
     assert(r.seconds > 0)
     assert(r.dCore >= 0 && r.acc >= 0 && r.acc <= 1)
     assert(r.dataset == "iris" && r.eta == 0.5 && r.tau == 0.5)

@@ -12,8 +12,8 @@ import repro.core.model.{LocalInstance, RunningExample}
 import repro.gen.ProblemGen
 import repro.spark.OverlapMatcher.OverlapResult
 
-/** The Spark `H^s` matcher against a plain driver-side oracle of the same
-  * semantics over `Array[Array[String]]`.
+/** The `H^s` matcher, on DataFrames and on a `LocalInstance`'s encoding,
+  * against a plain oracle of the same semantics over `Array[Array[String]]`.
   */
 class OverlapMatcherOracleSpec extends SparkSpec {
 
@@ -44,10 +44,13 @@ class OverlapMatcherOracleSpec extends SparkSpec {
     OverlapResult(idAttrs, modal, best.length.toLong)
   }
 
+  /** Both entry points, on DataFrames and on the instance's encoding. */
   private def check(inst: LocalInstance, maxBlock: Long): Unit = {
+    val want = oracle(inst.source, inst.target, inst.d, maxBlock)
     val got = OverlapMatcher.compute(
       ProblemGen.toDf(spark, inst, inst.source), ProblemGen.toDf(spark, inst, inst.target), inst.attrs, maxBlock)
-    assert(got == oracle(inst.source, inst.target, inst.d, maxBlock), s"maxBlock=$maxBlock")
+    assert(got == want, s"DataFrames, maxBlock=$maxBlock")
+    assert(OverlapMatcher.compute(inst.encoded, maxBlock) == want, s"encoded, maxBlock=$maxBlock")
   }
 
   private def schema(attrs: Seq[String]) = StructType(
@@ -139,6 +142,25 @@ class OverlapMatcherOracleSpec extends SparkSpec {
       ProblemGen.toDf(spark, inst, inst.source), ProblemGen.toDf(spark, inst, inst.target), inst.attrs)
     assert(got == local)
     assert(got == oracle(inst.source, inst.target, inst.d, 100000L))
+  }
+
+  test("dropped values do not count towards the early stop: the best target is found late") {
+    // A1 and A2 are held by three sources and three targets, so with
+    // maxBlock = 4 they are dropped. Source 0 first finds target 0 through
+    // B (score 3), then its best target 1 through C (score 4). Had the two
+    // dropped values counted as probed, a target found after B could score
+    // at most 5 - 3 = 2, and the source would stop at target 0.
+    val source = Array(
+      Array("A1", "A2", "B", "C", "D"),
+      Array("A1", "A2", "f1", "g1", "h1"),
+      Array("A1", "A2", "f2", "g2", "h2"))
+    val target = Array(
+      Array("A1", "A2", "B", "x", "y"),
+      Array("A1", "A2", "z", "C", "D"),
+      Array("A1", "A2", "k", "l", "m"))
+    val inst = LocalInstance(Vector("p1", "p2", "q", "r", "s"), source, target)
+    assert(oracle(source, target, 5, 4L) == OverlapResult(Set(0, 1, 3, 4), 4, 1L))
+    check(inst, 4L)
   }
 
   test("running example: the matcher agrees with the oracle for every block bound") {
