@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.SparkSpec
 import repro.eval.Protocol
-import repro.gen.ProblemGen
+import repro.gen.{Datasets, ProblemGen}
 import repro.spark.SnapshotDiff
 
 /** Supplementary baseline comparison (the paper's §1/§2 motivation,
@@ -21,7 +21,7 @@ class BaselineBench extends AnyFunSuite with SparkSpec {
   test("keyed-diff baseline vs Affidavit alignment accuracy under key reassignment") {
     println("dataset      keyedDiffAcc  affidavitCellAcc")
     for (name <- datasets) {
-      val ds = ProblemGen.collectDataset(spark, name)
+      val ds = Datasets.load(name)
       val p = ProblemGen.generate(ds, 0.3, 0.3, seed = 31)
       val sDf = ProblemGen.toDf(spark, p.inst, p.inst.source)
       val tDf = ProblemGen.toDf(spark, p.inst, p.inst.target)
@@ -35,7 +35,7 @@ class BaselineBench extends AnyFunSuite with SparkSpec {
   }
 
   test("keyed-diff baseline is exact when the key is stable (its home turf)") {
-    val ds = ProblemGen.collectDataset(spark, "iris")
+    val ds = Datasets.load("iris")
     val p = ProblemGen.generate(ds, 0.3, 0.0, seed = 32) // τ = 0: values unchanged
     // Re-key both sides identically (pretend pk was never reassigned).
     val sDf = ProblemGen.toDf(spark, p.inst, p.inst.source)

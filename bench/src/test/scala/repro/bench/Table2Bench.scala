@@ -7,7 +7,6 @@ import scala.collection.mutable
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.SparkSpec
 import repro.eval.{PaperNumbers, Protocol, RunResult, Table2}
 
 /** Reproduction of the paper's Table 2 (§5.3): both configurations (H^s and
@@ -19,16 +18,14 @@ import repro.eval.{PaperNumbers, Protocol, RunResult, Table2}
   * the full paper-vs-measured table and writes
   * `bench_results/table2.tsv` + `bench_results/table2_report.txt`.
   */
-class Table2Bench extends AnyFunSuite with SparkSpec {
+class Table2Bench extends AnyFunSuite {
 
   private val instances = sys.env.getOrElse("REPRO_INSTANCES", "3").toInt
   private val only = sys.env.get("REPRO_DATASETS").map(_.split(",").toSet)
 
   private def benchDataset(name: String): Unit = {
     if (only.exists(!_.contains(name))) { cancel(s"$name excluded via REPRO_DATASETS") }
-    val results = Table2.runDataset(
-      spark, name, instances,
-      log = line => info(line))
+    val results = Table2.runDataset(name, instances, log = line => info(line))
     Table2Bench.results ++= results
     // Sanity floor so a silently-broken search fails the bench, not just
     // produces bad numbers: the easy setting must stay accurate.

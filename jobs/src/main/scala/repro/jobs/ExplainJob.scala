@@ -1,10 +1,8 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
-
 import repro.core.search.Affidavit
 import repro.eval.Protocol
-import repro.gen.ProblemGen
+import repro.gen.{Datasets, ProblemGen}
 
 /** Explains one generated instance (η = τ) and prints how the run went.
   *
@@ -29,30 +27,26 @@ object ExplainJob {
     val bound = if (args.length > 4) args(4) else "scaled"
     require(bound == "scaled" || bound == "literal", s"unknown record bound: $bound")
 
-    val spark = SparkSession.builder().master("local[*]").appName("explain")
-      .config("spark.ui.enabled", false).getOrCreate()
-    try {
-      val p = ProblemGen.generate(ProblemGen.collectDataset(spark, name), eta, eta, seed)
-      val attrs = p.inst.attrs
-      val t0 = System.nanoTime()
-      val (cfg, init, overlap) = Protocol.configure(p, config)
-      val res = Affidavit.run(p.inst, cfg.copy(scaleRecordBound = bound == "scaled"), init)
-      val r = Protocol.judge(p, res, (System.nanoTime() - t0) / 1e9, config, cfg.alpha)
-      println(f"$name eta=$eta seed=$seed $config $bound: t=${r.seconds}%.2f " +
-        f"dCore=${r.dCore}%.3f dCosts=${r.dCosts}%.3f acc=${r.acc}%.3f")
-      println(s"polls=${res.polls} states=${res.statesEvaluated} cost=${res.cost}")
-      for ((a, i) <- attrs.zipWithIndex) {
-        val (found, ref) = (res.explanation.funcs(i), p.reference.funcs(i))
-        val enc = p.inst.encoded(i)
-        val mark = if (enc.src.distinct.exists(c => found(enc.dict(c)) != ref(enc.dict(c)))) "!!" else "  "
-        println(f"$mark $a%-16s found=${found.describe.take(50)}%-52s ref=${ref.describe.take(50)}")
-      }
-      for (o <- overlap) {
-        val unchanged = attrs.indices.filter(p.reference.funcs(_).isIdentity)
-        println(s"overlap: pairs=${o.pairs} modalScore=${o.modalScore}")
-        println(s"  id attrs        = ${o.idAttrs.toSeq.sorted.map(attrs).mkString(", ")}")
-        println(s"  truly unchanged = ${unchanged.map(attrs).mkString(", ")}")
-      }
-    } finally spark.stop()
+    val p = ProblemGen.generate(Datasets.load(name), eta, eta, seed)
+    val attrs = p.inst.attrs
+    val t0 = System.nanoTime()
+    val (cfg, init, overlap) = Protocol.configure(p, config)
+    val res = Affidavit.run(p.inst, cfg.copy(scaleRecordBound = bound == "scaled"), init)
+    val r = Protocol.judge(p, res, (System.nanoTime() - t0) / 1e9, config, cfg.alpha)
+    println(f"$name eta=$eta seed=$seed $config $bound: t=${r.seconds}%.2f " +
+      f"dCore=${r.dCore}%.3f dCosts=${r.dCosts}%.3f acc=${r.acc}%.3f")
+    println(s"polls=${res.polls} states=${res.statesEvaluated} cost=${res.cost}")
+    for ((a, i) <- attrs.zipWithIndex) {
+      val (found, ref) = (res.explanation.funcs(i), p.reference.funcs(i))
+      val enc = p.inst.encoded(i)
+      val mark = if (enc.src.distinct.exists(c => found(enc.dict(c)) != ref(enc.dict(c)))) "!!" else "  "
+      println(f"$mark $a%-16s found=${found.describe.take(50)}%-52s ref=${ref.describe.take(50)}")
+    }
+    for (o <- overlap) {
+      val unchanged = attrs.indices.filter(p.reference.funcs(_).isIdentity)
+      println(s"overlap: pairs=${o.pairs} modalScore=${o.modalScore}")
+      println(s"  id attrs        = ${o.idAttrs.toSeq.sorted.map(attrs).mkString(", ")}")
+      println(s"  truly unchanged = ${unchanged.map(attrs).mkString(", ")}")
+    }
   }
 }

@@ -1,10 +1,8 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
-
 import repro.eval.Table2
 
-/** spark-submit entrypoint reproducing the paper's Table 2.
+/** Entrypoint reproducing the paper's Table 2; driver work only.
   *
   * Usage: Table2Job [datasetCsv|all] [instancesPerCell] [seedBase]
   *
@@ -18,15 +16,9 @@ object Table2Job {
     val instances = if (args.length > 1) args(1).toInt else 3
     val seedBase = if (args.length > 2) args(2).toLong else 7L
 
-    val spark = SparkSession.builder
-      .appName("affidavit-table2")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
-    try {
-      val results = datasets.flatMap { ds =>
-        Table2.runDataset(spark, ds, instances, seedBase = seedBase, log = println)
-      }
-      println(Table2.report(Table2.aggregate(results)))
-    } finally spark.stop()
+    val results = datasets.flatMap { ds =>
+      Table2.runDataset(ds, instances, seedBase = seedBase, log = println)
+    }
+    println(Table2.report(Table2.aggregate(results)))
   }
 }

@@ -1,8 +1,6 @@
 package repro.eval
 
-import org.apache.spark.sql.SparkSession
-
-import repro.gen.{Dataset, ProblemGen}
+import repro.gen.{Datasets, ProblemGen}
 
 /** Runner for the paper's Table 2: for each dataset, each difficulty
   * setting and each configuration, macro-average the per-instance metrics
@@ -38,11 +36,10 @@ object Table2 {
 
   private def avg(xs: Seq[Double]): Double = if (xs.isEmpty) 0.0 else xs.sum / xs.size
 
-  /** Run the full matrix for one dataset (collected once, instances share
+  /** Run the full matrix for one dataset (generated once, instances share
     * the table like the paper's repeated transformations of one table).
     */
   def runDataset(
-      spark: SparkSession,
       datasetName: String,
       instances: Int,
       configs: Seq[String] = Seq(Protocol.Hs, Protocol.Hid),
@@ -50,7 +47,7 @@ object Table2 {
       seedBase: Long = 7L,
       log: String => Unit = _ => (),
   ): Seq[RunResult] = {
-    val ds: Dataset = ProblemGen.collectDataset(spark, datasetName)
+    val ds = Datasets.load(datasetName)
     for {
       ((eta, tau), si) <- settings.zipWithIndex
       i <- 0 until instances

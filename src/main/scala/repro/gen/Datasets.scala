@@ -2,8 +2,6 @@ package repro.gen
 
 import scala.util.Random
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-
 import AttrSpec._
 
 /** Synthetic re-creations of the 17 evaluation datasets (paper §5.1, from
@@ -23,7 +21,7 @@ import AttrSpec._
 object Datasets {
 
   /** rows and natural attributes (|A| − 1 of Table 2). */
-  final case class DatasetSpec(name: String, rows: Long, paperRows: Long, specs: Vector[AttrSpec]) {
+  final case class DatasetSpec(name: String, rows: Int, paperRows: Long, specs: Vector[AttrSpec]) {
     def numAttrsWithPk: Int = specs.size + 1
   }
 
@@ -287,12 +285,12 @@ object Datasets {
 
   val byName: Map[String, DatasetSpec] = all.map(d => d.name -> d).toMap
 
-  /** Materialize one dataset as a DataFrame (`__rid` + string attributes).
-    * Content is fixed per dataset name — like the paper, instance variety
-    * comes from the sampled transformations/noise, not the table.
+  /** Generate one dataset on the driver. Content is fixed per dataset name
+    * (`DatasetsSpec` pins it) — like the paper, instance variety comes from
+    * the sampled transformations/noise, not the table.
     */
-  def load(spark: SparkSession, name: String): DataFrame = {
+  def load(name: String): Dataset = {
     val ds = byName.getOrElse(name, sys.error(s"unknown dataset: $name"))
-    SynthTable.generate(spark, ds.rows, ds.specs, seed = name.hashCode.toLong)
+    Dataset(name, ds.specs.map(_.name), SynthTable.generate(ds.rows, ds.specs, seed = name.hashCode.toLong))
   }
 }

@@ -10,7 +10,7 @@ import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType
 import repro.core.functions.Funcs
 import repro.core.model.{AttrFunc, Explanation, LocalInstance, Num}
 
-/** A dataset materialized on the driver (collected once per dataset and
+/** A dataset materialized on the driver (generated once per dataset and
   * reused across all problem instances derived from it).
   */
 final case class Dataset(name: String, attrs: Vector[String], rows: Array[Array[String]])
@@ -48,17 +48,8 @@ final case class Problem(
   */
 object ProblemGen {
 
-  /** Collect a synthetic dataset once; content is deterministic per name. */
-  def collectDataset(spark: SparkSession, name: String): Dataset = {
-    val ds = Datasets.byName(name)
-    val df = Datasets.load(spark, name)
-    val attrs = ds.specs.map(_.name)
-    val rows = df
-      .select(attrs.map(org.apache.spark.sql.functions.col): _*)
-      .collect()
-      .map(r => Array.tabulate(attrs.size)(i => r.getString(i)))
-    Dataset(name, attrs, rows)
-  }
+  /** [[Datasets.load]] for callers that still pass a session, which goes unused. */
+  def collectDataset(spark: SparkSession, name: String): Dataset = Datasets.load(name)
 
   /** Pure, deterministic instance construction (no Spark needed). */
   def generate(ds: Dataset, eta: Double, tau: Double, seed: Long): Problem = {

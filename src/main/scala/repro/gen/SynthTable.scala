@@ -1,15 +1,19 @@
 package repro.gen
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{IntegerType, StringType}
+import java.time.LocalDate
+import java.time.format.DateTimeFormatter
+import java.util.Locale
+
+import org.apache.spark.sql.catalyst.expressions.XXH64
+import org.apache.spark.unsafe.types.UTF8String
 
 /** Attribute generators for the synthetic evaluation datasets.
   *
-  * Values are deterministic in (attribute name, row id, seed) — independent
-  * of partitioning — so the same dataset content is produced on every run
-  * and engine. All columns are strings (the paper's model is untyped value
-  * tuples).
+  * Values are deterministic in (attribute name, row id, seed), so every run
+  * produces the same dataset content. That content equals what the earlier
+  * Spark plan (one `xxhash64` column expression per attribute) produced;
+  * `DatasetsSpec` pins it with one SHA-256 per dataset. All columns are
+  * strings (the paper's model is untyped value tuples).
   */
 sealed trait AttrSpec {
   def name: String
@@ -51,7 +55,8 @@ object AttrSpec {
 
   /** Zero-padded code strings `prefix + %0{width}d`. */
   final case class Code(name: String, prefix: String, domain: Int, width: Int) extends AttrSpec {
-    require(domain >= 1)
+    // A wider code would have to be cut to `width` digits.
+    require(domain >= 1 && width >= 1 && domain <= math.pow(10, width))
     def domainSize: Long = domain.toLong
   }
 
@@ -76,62 +81,73 @@ object AttrSpec {
 object SynthTable {
   import AttrSpec._
 
-  /** Positive modulus of a column expression. */
-  private def pm(c: Column, n: Long): Column = ((c % n) + n) % n
+  private val yyyyMMdd = DateTimeFormatter.ofPattern("yyyyMMdd")
 
-  /** Deterministic per-attribute hash stream over the row id. */
-  private def h(attr: String, seed: Long): Column =
-    xxhash64(lit(attr), col("__rid") + lit(seed))
-
-  /** Skewed categorical index in [0, n): `⌊n·u^1.5⌋` for uniform u.
-    *
-    * Real categorical attributes are rarely uniform; the skew matters for
-    * reproduction fidelity. Under a *uniform* distribution a value-mapping
-    * permutation leaves every per-value count unchanged, so a wrong `id`
-    * assignment on a permuted attribute is invisible to the count-based
-    * state-cost bounds (c_t/c_s) and the search happily locks it in —
-    * destroying the alignment. With skewed counts the permutation shifts
-    * the histogram and wrong `id` states are punished immediately, which is
-    * the dynamic the paper's real datasets exhibit. The exponent 1.5 is
-    * mild enough that the rarest value of the low-cardinality datasets
-    * (chess/letter/nursery) still exceeds the H^s block-size threshold,
-    * preserving the paper's H^s failure shape there.
+  /** Every value `spec` can produce, each rendered once; row `rid`'s cell
+    * is `domain(spec)(index(spec, seed)(rid))`.
     */
-  private def skewedIndex(attr: String, seed: Long, n: Long): Column = {
-    val u = (pm(h(attr, seed), 100000L).cast("double") + lit(0.5)) / lit(100000.0)
-    floor(lit(n.toDouble) * pow(u, lit(1.5))).cast(IntegerType)
+  def domain(spec: AttrSpec): Array[String] = spec match {
+    case Cat(_, values, _) => values.toArray
+    case IntRange(_, lo, domain, _) => Array.tabulate(domain)(i => (lo + i).toString)
+    case Dec(_, lo, step, steps, scale) =>
+      Array.tabulate(steps)(k => s"%.${scale}f".formatLocal(Locale.US, lo + k.toDouble * step))
+    case Code(_, prefix, domain, width) =>
+      Array.tabulate(domain)(k => prefix + s"%0${width}d".formatLocal(Locale.US, k))
+    case DateCol(_, startIso, days) =>
+      val start = LocalDate.parse(startIso)
+      Array.tabulate(days)(k => start.plusDays(k.toLong).format(yyyyMMdd))
+    case SkewInt(_, hot, _, lo, domain) =>
+      hot.toString +: Array.tabulate(domain)(i => (lo + i).toString)
   }
 
-  def column(spec: AttrSpec, seed: Long): Column = spec match {
-    case Cat(name, values, uniform) =>
-      val idx =
-        if (uniform) pm(h(name, seed), values.size.toLong).cast(IntegerType)
-        else skewedIndex(name, seed, values.size.toLong)
-      element_at(array(values.map(lit): _*), idx + 1)
-    case IntRange(name, lo, domain, uniform) =>
-      val idx =
-        if (uniform) pm(h(name, seed), domain.toLong).cast(IntegerType)
-        else skewedIndex(name, seed, domain.toLong)
-      (lit(lo) + idx).cast(StringType)
-    case Dec(name, lo, step, steps, scale) =>
-      format_string(
-        s"%.${scale}f",
-        lit(lo) + pm(h(name, seed), steps.toLong).cast("double") * lit(step))
-    case Code(name, prefix, domain, width) =>
-      concat(lit(prefix), lpad(pm(h(name, seed), domain.toLong).cast(StringType), width, "0"))
-    case DateCol(name, startIso, days) =>
-      date_format(
-        date_add(to_date(lit(startIso)), pm(h(name, seed), days.toLong).cast(IntegerType)),
-        "yyyyMMdd")
-    case SkewInt(name, hot, hotPct, lo, domain) =>
-      when(pm(h(name + "!hot", seed), 100L) < hotPct, lit(hot).cast(StringType))
-        .otherwise((lit(lo) + pm(h(name, seed), domain.toLong)).cast(StringType))
+  /** Deterministic per-attribute hash stream over the row id: Spark's
+    * `xxhash64(attr, rid + seed)`, with the attribute's hash taken once.
+    */
+  private final class Stream(attr: String, seed: Long) {
+    private val attrHash = XXH64.hashUTF8String(UTF8String.fromString(attr), 42L)
+
+    /** Uniform index in [0, n): row `rid`'s hash modulo n. */
+    def uniform(rid: Long, n: Int): Int =
+      Math.floorMod(XXH64.hashLong(rid + seed, attrHash), n.toLong).toInt
+
+    /** Skewed index in [0, n): `⌊n·u^1.5⌋` for uniform u.
+      *
+      * Real categorical attributes are rarely uniform; the skew matters for
+      * reproduction fidelity. Under a *uniform* distribution a value-mapping
+      * permutation leaves every per-value count unchanged, so a wrong `id`
+      * assignment on a permuted attribute is invisible to the count-based
+      * state-cost bounds (c_t/c_s) and the search happily locks it in —
+      * destroying the alignment. With skewed counts the permutation shifts
+      * the histogram and wrong `id` states are punished immediately, which
+      * is the dynamic the paper's real datasets exhibit. The exponent 1.5 is
+      * mild enough that the rarest value of the low-cardinality datasets
+      * (chess/letter/nursery) still exceeds the H^s block-size threshold,
+      * preserving the paper's H^s failure shape there. `StrictMath.pow` is
+      * what Spark's `pow` computed, so the datasets keep their content.
+      */
+    def skewed(rid: Long, n: Int): Int = {
+      val u = (uniform(rid, 100000) + 0.5) / 100000.0
+      math.floor(n * StrictMath.pow(u, 1.5)).toInt
+    }
   }
 
-  /** Generate a dataset: `__rid` (long) plus one string column per spec. */
-  def generate(spark: SparkSession, rows: Long, specs: Seq[AttrSpec], seed: Long): DataFrame = {
+  /** The index into `domain(spec)` of row `rid`'s value. */
+  private def index(spec: AttrSpec, seed: Long): Long => Int = {
+    val h = new Stream(spec.name, seed)
+    spec match {
+      case Cat(_, _, false) | IntRange(_, _, _, false) => h.skewed(_, spec.domainSize.toInt)
+      case SkewInt(name, _, hotPct, _, domain) =>
+        val hot = new Stream(name + "!hot", seed)
+        rid => if (hot.uniform(rid, 100) < hotPct) 0 else 1 + h.uniform(rid, domain)
+      case _ => h.uniform(_, spec.domainSize.toInt)
+    }
+  }
+
+  /** Generate a dataset: `rows` rows of one string per spec, row id = position. */
+  def generate(rows: Int, specs: Seq[AttrSpec], seed: Long): Array[Array[String]] = {
     require(specs.map(_.name).distinct.size == specs.size, "duplicate attribute names")
-    val base = spark.range(rows).withColumnRenamed("id", "__rid")
-    specs.foldLeft(base)((df, s) => df.withColumn(s.name, column(s, seed)))
+    val domains = specs.map(domain).toArray
+    val indexes = specs.map(index(_, seed)).toArray
+    Array.tabulate(rows)(rid => Array.tabulate(specs.size)(a => domains(a)(indexes(a)(rid.toLong))))
   }
 }

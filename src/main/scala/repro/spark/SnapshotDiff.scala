@@ -37,7 +37,9 @@ object SnapshotDiff {
 
   /** Fraction of key-matched pairs that are correct under a ground-truth
     * alignment given as (source `__row`, target `__row`) pairs — used to
-    * quantify the baseline's failure under key reassignment.
+    * quantify the baseline's failure under key reassignment. Records are
+    * paired by the same join on `keyCols` as in [[diff]], so a `null` key
+    * part matches nothing.
     */
   def keyAlignmentAccuracy(
       s: DataFrame,
@@ -46,10 +48,8 @@ object SnapshotDiff {
       truth: Set[(Long, Long)],
   ): Double = {
     val pairs = s
-      .select(col("__row").as("srow"), concat_ws("", keyCols.map(col): _*).as("k"))
-      .join(
-        t.select(col("__row").as("trow"), concat_ws("", keyCols.map(col): _*).as("k")),
-        "k")
+      .select(col("__row").as("srow") +: keyCols.map(col): _*)
+      .join(t.select(col("__row").as("trow") +: keyCols.map(col): _*), keyCols)
       .select("srow", "trow")
       .collect()
       .map(r => (r.getLong(0), r.getLong(1)))

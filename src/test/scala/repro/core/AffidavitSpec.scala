@@ -11,9 +11,7 @@ import repro.gen.{Dataset, ProblemGen}
 
 /** Behavioural tests of the search on small constructed instances. */
 class AffidavitSpec extends AnyFunSuite {
-
-  private def inst(src: Seq[Seq[String]], tgt: Seq[Seq[String]], attrs: String*) =
-    LocalInstance(attrs.toVector, src.map(_.toArray).toArray, tgt.map(_.toArray).toArray)
+  import AffidavitSpec._
 
   test("identical snapshots are explained at cost 0 with all-identity functions") {
     val i = inst(
@@ -176,22 +174,7 @@ class AffidavitSpec extends AnyFunSuite {
   }
 
   test("edge cases: empty sides, one attribute, duplicate rows, non-ASCII values") {
-    val rows = Seq(Seq("a", "1"), Seq("b", "2"), Seq("c", "3"))
-    val cases = Seq(
-      "empty S" -> inst(Nil, rows, "x", "y"),
-      "empty T" -> inst(rows, Nil, "x", "y"),
-      "both empty" -> inst(Nil, Nil, "x", "y"),
-      "d = 1" -> inst(Seq(Seq("a"), Seq("b"), Seq("c"), Seq("c")), Seq(Seq("A"), Seq("B"), Seq("C"), Seq("x")), "x"),
-      "duplicate rows" -> inst(
-        Seq(Seq("k1", "v"), Seq("k1", "v"), Seq("k2", "w"), Seq("k2", "w"), Seq("k3", "u")),
-        Seq(Seq("k1", "v"), Seq("k2", "w"), Seq("k2", "w"), Seq("k2", "w"), Seq("k4", "u")),
-        "k", "v"),
-      "non-ASCII" -> inst(
-        (1 to 12).map(j => Seq(s"schlüssel-$j", s"münchen-$j", "日本")),
-        (1 to 12).map(j => Seq(s"schlüssel-$j", s"MÜNCHEN-$j", "日本😀")),
-        "k", "stadt", "land"),
-    )
-    for ((name, i) <- cases; init <- Seq(InitStrategy.Id, InitStrategy.Blank)) {
+    for ((name, i) <- edgeCases; init <- Seq(InitStrategy.Id, InitStrategy.Blank)) {
       val res = Affidavit.run(i, AffidavitConfig.hidConfig(3), init)
       assert(res.explanation.isValidFor(i), s"$name $init")
       assert(res.cost == Costs.explanationCost(i, res.explanation, 0.5), s"$name $init")
@@ -205,5 +188,32 @@ class AffidavitSpec extends AnyFunSuite {
     assert(res.explanation.isValidFor(i))
     assert(res.cost > 0.0)
     assert(res.cost == Costs.explanationCost(i, res.explanation, 0.5))
+  }
+}
+
+object AffidavitSpec {
+
+  def inst(src: Seq[Seq[String]], tgt: Seq[Seq[String]], attrs: String*): LocalInstance =
+    LocalInstance(attrs.toVector, src.map(_.toArray).toArray, tgt.map(_.toArray).toArray)
+
+  /** Real-snapshot shapes the search must handle; `ExplanationApplierSpec`
+    * applies the explanations found for them through Spark too.
+    */
+  val edgeCases: Seq[(String, LocalInstance)] = {
+    val rows = Seq(Seq("a", "1"), Seq("b", "2"), Seq("c", "3"))
+    Seq(
+      "empty S" -> inst(Nil, rows, "x", "y"),
+      "empty T" -> inst(rows, Nil, "x", "y"),
+      "both empty" -> inst(Nil, Nil, "x", "y"),
+      "d = 1" -> inst(Seq(Seq("a"), Seq("b"), Seq("c"), Seq("c")), Seq(Seq("A"), Seq("B"), Seq("C"), Seq("x")), "x"),
+      "duplicate rows" -> inst(
+        Seq(Seq("k1", "v"), Seq("k1", "v"), Seq("k2", "w"), Seq("k2", "w"), Seq("k3", "u")),
+        Seq(Seq("k1", "v"), Seq("k2", "w"), Seq("k2", "w"), Seq("k2", "w"), Seq("k4", "u")),
+        "k", "v"),
+      "non-ASCII" -> inst(
+        (1 to 12).map(j => Seq(s"schlüssel-$j", s"münchen-$j", "日本")),
+        (1 to 12).map(j => Seq(s"schlüssel-$j", s"MÜNCHEN-$j", "日本😀")),
+        "k", "stadt", "land"),
+    )
   }
 }

@@ -1,9 +1,10 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.core.model.{LocalInstance, RunningExample}
 import repro.core.search.{Affidavit, AffidavitConfig, Induction, InitStrategy}
-import repro.gen.{Dataset, ProblemGen}
+import repro.gen.{Dataset, Datasets, ProblemGen}
 
 /** Pinned outcomes of whole searches (`H^id`, and one `H^s`-style β = 1
   * search from a fixed id-attribute set): poll and state counts, cost,
@@ -12,7 +13,7 @@ import repro.gen.{Dataset, ProblemGen}
   * of them as they are; any change to the search's choices or to the order
   * it draws random numbers in shows here.
   */
-class SearchGoldenSpec extends SparkSpec {
+class SearchGoldenSpec extends AnyFunSuite {
 
   private def check(
       inst: LocalInstance,
@@ -39,7 +40,7 @@ class SearchGoldenSpec extends SparkSpec {
 
   /** The first `rows` rows of a dataset, made an instance at η = τ = `eta`. */
   private def generated(name: String, rows: Int, eta: Double, seed: Long): LocalInstance = {
-    val ds = ProblemGen.collectDataset(spark, name)
+    val ds = Datasets.load(name)
     ProblemGen.generate(Dataset(ds.name, ds.attrs, ds.rows.take(rows)), eta, eta, seed).inst
   }
 

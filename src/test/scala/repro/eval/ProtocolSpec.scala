@@ -3,14 +3,14 @@ package repro.eval
 import org.apache.spark.JobCounter
 
 import repro.SparkSpec
-import repro.gen.ProblemGen
+import repro.gen.{Datasets, ProblemGen}
 import repro.spark.OverlapMatcher
 
 class ProtocolSpec extends SparkSpec {
 
-  private lazy val iris = ProblemGen.collectDataset(spark, "iris")
-  private lazy val bridges = ProblemGen.collectDataset(spark, "bridges")
-  private lazy val abalone = ProblemGen.collectDataset(spark, "abalone")
+  private lazy val iris = Datasets.load("iris")
+  private lazy val bridges = Datasets.load("bridges")
+  private lazy val abalone = Datasets.load("abalone")
 
   test("H^id explains an easy iris instance with high accuracy") {
     val p = ProblemGen.generate(iris, 0.3, 0.3, seed = 101)

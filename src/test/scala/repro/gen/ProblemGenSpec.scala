@@ -6,7 +6,7 @@ import repro.core.model.Costs
 
 class ProblemGenSpec extends SparkSpec {
 
-  private lazy val iris = ProblemGen.collectDataset(spark, "iris")
+  private lazy val iris = Datasets.load("iris")
 
   test("snapshot sizes follow the η formula: |S| = |T| = N/(1+η)") {
     for (eta <- Seq(0.3, 0.5, 0.7)) {

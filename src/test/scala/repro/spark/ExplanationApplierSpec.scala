@@ -3,6 +3,7 @@ package repro.spark
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
+import repro.core.AffidavitSpec
 import repro.core.model.{LocalInstance, RunningExample}
 import repro.core.search.{Affidavit, AffidavitConfig, InitStrategy}
 import repro.gen.ProblemGen
@@ -36,6 +37,20 @@ class ExplanationApplierSpec extends SparkSpec {
     val s = ProblemGen.toDf(spark, i, i.source)
     val t = ProblemGen.toDf(spark, i, i.target)
     assert(ExplanationApplier.unmatchedCoreImage(s, t, i.attrs, res.explanation) == 0L)
+  }
+
+  test("edge cases: the core image of Affidavit's explanation is exactly T without T+") {
+    for ((name, i) <- AffidavitSpec.edgeCases) {
+      val e = Affidavit.run(i, AffidavitConfig.hidConfig(3), InitStrategy.Id).explanation
+      val s = ProblemGen.toDf(spark, i, i.source)
+      val t = ProblemGen.toDf(spark, i, i.target)
+      assert(ExplanationApplier.unmatchedCoreImage(s, t, i.attrs, e) == 0L, name)
+      val image = ExplanationApplier.coreImage(s, i.attrs, e).select(i.attrs.map(col): _*)
+        .collect().map(r => i.attrs.indices.map(r.getString)).toSeq
+      val core = e.alignment.map { case (src, _) => e.transform(i.source(src)).toSeq }
+      assert(image.groupBy(identity).view.mapValues(_.size).toMap ==
+        core.groupBy(identity).view.mapValues(_.size).toMap, name)
+    }
   }
 
   test("explanations generalize: unseen records transform correctly") {

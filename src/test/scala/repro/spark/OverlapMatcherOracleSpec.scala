@@ -9,7 +9,7 @@ import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType
 
 import repro.SparkSpec
 import repro.core.model.{LocalInstance, RunningExample}
-import repro.gen.ProblemGen
+import repro.gen.{Datasets, ProblemGen}
 import repro.spark.OverlapMatcher.OverlapResult
 
 /** The `H^s` matcher, on DataFrames and on a `LocalInstance`'s encoding,
@@ -133,7 +133,7 @@ class OverlapMatcherOracleSpec extends SparkSpec {
   }
 
   test("a DataFrame over an RDD gives the local relation's result") {
-    val ds = ProblemGen.collectDataset(spark, "abalone")
+    val ds = Datasets.load("abalone")
     val inst = ProblemGen.generate(ds.copy(rows = ds.rows.take(300)), 0.3, 0.3, 4L).inst
     val rnd = new Random(3)
     def rdd(side: Array[Array[String]]) = rddDf(inst.attrs, withIds(side, side.indices.map(_.toLong), rnd), 3)
@@ -169,7 +169,7 @@ class OverlapMatcherOracleSpec extends SparkSpec {
 
   test("generated bridges and abalone instances: the matcher agrees with the oracle") {
     for ((name, rows) <- Seq("bridges" -> 108, "abalone" -> 400)) {
-      val ds = ProblemGen.collectDataset(spark, name)
+      val ds = Datasets.load(name)
       val cut = ds.copy(rows = ds.rows.take(rows))
       for (seed <- 1L to 2L) check(ProblemGen.generate(cut, 0.3, 0.3, seed).inst, 100000L)
     }

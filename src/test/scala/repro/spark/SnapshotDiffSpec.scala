@@ -3,7 +3,7 @@ package repro.spark
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
-import repro.gen.ProblemGen
+import repro.gen.{Datasets, ProblemGen}
 
 class SnapshotDiffSpec extends SparkSpec {
 
@@ -65,13 +65,26 @@ class SnapshotDiffSpec extends SparkSpec {
 
   test("the keyed baseline mis-aligns everything under key reassignment") {
     // The motivating failure: pk permuted between snapshots.
-    val iris = ProblemGen.collectDataset(spark, "iris")
+    val iris = Datasets.load("iris")
     val p = ProblemGen.generate(iris, 0.3, 0.3, seed = 21)
     val sDf = ProblemGen.toDf(spark, p.inst, p.inst.source)
     val tDf = ProblemGen.toDf(spark, p.inst, p.inst.target)
     val truth = p.reference.alignment.map { case (a, b) => (a.toLong, b.toLong) }.toSet
     val acc = SnapshotDiff.keyAlignmentAccuracy(sDf, tDf, Seq("pk"), truth)
     assert(acc < 0.1, s"keyed accuracy $acc")
+  }
+
+  test("the keyed baseline pairs multi-column keys part by part, never on a null part") {
+    val spark0 = spark
+    import spark0.implicits._
+    // Joined with a U+0001 separator, ("a\u0001", "b") and ("a", "\u0001b")
+    // would be one key, and ("4", null) would be "4" on both sides.
+    val s = Seq((0L, "a\u0001", "b"), (1L, "a", "\u0001b"), (2L, "4", null)).toDF("__row", "k1", "k2")
+    val t = Seq((0L, "a", "\u0001b"), (1L, "a\u0001", "b"), (2L, "4", null)).toDF("__row", "k1", "k2")
+    val keys = Seq("k1", "k2")
+    assert(SnapshotDiff.keyAlignmentAccuracy(s, t, keys, Set((0L, 1L), (1L, 0L))) == 1.0)
+    assert(SnapshotDiff.keyAlignmentAccuracy(s, t, keys, Set((2L, 2L))) == 0.0)
+    assert(SnapshotDiff.diff(s, t, keys).deleted.select("__row").as[Long].collect().toSeq == Seq(2L))
   }
 
   test("the keyed baseline is perfect when keys are stable") {
