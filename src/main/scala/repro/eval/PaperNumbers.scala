@@ -13,6 +13,9 @@ object PaperNumbers {
   /** Settings in table order: (η, τ) = (0.3,0.3), (0.5,0.5), (0.7,0.7). */
   val settings: Vector[(Double, Double)] = Vector((0.3, 0.3), (0.5, 0.5), (0.7, 0.7))
 
+  /** Problem instances per (dataset, setting), as in §5.2. */
+  val instances: Int = 10
+
   /** table2((dataset, config)) = cells for the three settings in order. */
   val table2: Map[(String, String), Vector[Cell]] = Map(
     ("iris", "Hs") -> Vector(Cell(0.12, 1.01, 1.00, 1.00), Cell(0.09, 0.99, 1.01, 0.99), Cell(0.10, 1.04, 0.99, 0.99)),

@@ -4,7 +4,7 @@ import repro.gen.{Datasets, ProblemGen}
 
 /** Runner for the paper's Table 2: for each dataset, each difficulty
   * setting and each configuration, macro-average the per-instance metrics
-  * over `instances` generated problem instances.
+  * over the paper's [[PaperNumbers.instances]] generated problem instances.
   */
 object Table2 {
 
@@ -36,21 +36,20 @@ object Table2 {
 
   private def avg(xs: Seq[Double]): Double = if (xs.isEmpty) 0.0 else xs.sum / xs.size
 
+  /** Both configurations, in report order. */
+  private val configs: Seq[String] = Seq(Protocol.Hs, Protocol.Hid)
+
+  /** Seed of instance `i` under setting `si` is `seedBase + 1000·si + i`. */
+  private val seedBase: Long = 7L
+
   /** Run the full matrix for one dataset (generated once, instances share
     * the table like the paper's repeated transformations of one table).
     */
-  def runDataset(
-      datasetName: String,
-      instances: Int,
-      configs: Seq[String] = Seq(Protocol.Hs, Protocol.Hid),
-      settings: Seq[(Double, Double)] = PaperNumbers.settings,
-      seedBase: Long = 7L,
-      log: String => Unit = _ => (),
-  ): Seq[RunResult] = {
+  def runDataset(datasetName: String, log: String => Unit = _ => ()): Seq[RunResult] = {
     val ds = Datasets.load(datasetName)
     for {
-      ((eta, tau), si) <- settings.zipWithIndex
-      i <- 0 until instances
+      ((eta, tau), si) <- PaperNumbers.settings.zipWithIndex
+      i <- 0 until PaperNumbers.instances
       problem = ProblemGen.generate(ds, eta, tau, seedBase + 1000L * si + i)
       config <- configs
     } yield {
@@ -70,7 +69,7 @@ object Table2 {
     for {
       (ds, nAttrs, _) <- PaperNumbers.datasets
       if rows.exists(_.dataset == ds)
-      config <- Seq(Protocol.Hs, Protocol.Hid)
+      config <- configs
       ((eta, tau), si) <- PaperNumbers.settings.zipWithIndex
     } {
       val paper = PaperNumbers.table2((ds, config))(si)

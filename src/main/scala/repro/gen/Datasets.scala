@@ -14,14 +14,11 @@ import AttrSpec._
   * and mimics the attribute cardinality/type profile of the original.
   * Domain sizes stay ≤ 0.65·rows, mirroring the paper's removal of
   * attributes with > 0.7 distinct-value fraction.
-  *
-  * Scale substitution: fd-red-30 is generated at 20 000 rows instead of
-  * 250 000 (bench budget; documented in EXPERIMENTS.md).
   */
 object Datasets {
 
   /** rows and natural attributes (|A| − 1 of Table 2). */
-  final case class DatasetSpec(name: String, rows: Int, paperRows: Long, specs: Vector[AttrSpec]) {
+  final case class DatasetSpec(name: String, rows: Int, specs: Vector[AttrSpec]) {
     def numAttrsWithPk: Int = specs.size + 1
   }
 
@@ -29,7 +26,7 @@ object Datasets {
     names.toVector.map(n => Cat(n, Seq("no", "yes")))
 
   private val iris = DatasetSpec(
-    "iris", 150, 150,
+    "iris", 150,
     Vector(
       Dec("sepal_length", 4.0, 0.1, 36, 1),
       Dec("sepal_width", 2.0, 0.1, 25, 1),
@@ -39,7 +36,7 @@ object Datasets {
     ))
 
   private val balance = DatasetSpec(
-    "balance", 625, 625,
+    "balance", 625,
     Vector(
       Cat("class", Seq("L", "B", "R"), uniform = true),
       IntRange("left_weight", 1, 5, uniform = true),
@@ -49,7 +46,7 @@ object Datasets {
     ))
 
   private val chess = DatasetSpec(
-    "chess", 28056, 28056,
+    "chess", 28056,
     Vector(
       Cat("wk_file", "abcdefgh".map(_.toString), uniform = true),
       IntRange("wk_rank", 1, 8, uniform = true),
@@ -63,7 +60,7 @@ object Datasets {
     ))
 
   private val abalone = DatasetSpec(
-    "abalone", 4177, 4177,
+    "abalone", 4177,
     Vector(
       Cat("sex", Seq("M", "F", "I")),
       Dec("length", 0.075, 0.005, 148, 3),
@@ -76,7 +73,7 @@ object Datasets {
     ))
 
   private val nursery = DatasetSpec(
-    "nursery", 12960, 12960,
+    "nursery", 12960,
     Vector(
       Cat("parents", Seq("usual", "pretentious", "great_pret"), uniform = true),
       Cat("has_nurs", Seq("proper", "less_proper", "improper", "critical", "very_crit"), uniform = true),
@@ -90,7 +87,7 @@ object Datasets {
     ))
 
   private val bridges = DatasetSpec(
-    "bridges", 108, 108,
+    "bridges", 108,
     Vector(
       Cat("river", Seq("A", "M", "O", "Y")),
       IntRange("location", 1, 52),
@@ -104,7 +101,7 @@ object Datasets {
     ))
 
   private val echo = DatasetSpec(
-    "echo", 132, 132,
+    "echo", 132,
     Vector(
       IntRange("survival", 0, 60),
       Cat("still_alive", Seq("0", "1")),
@@ -118,7 +115,7 @@ object Datasets {
     ))
 
   private val breast = DatasetSpec(
-    "breast", 699, 699,
+    "breast", 699,
     Vector(
       IntRange("clump_thickness", 1, 10),
       IntRange("cell_size", 1, 10),
@@ -133,7 +130,7 @@ object Datasets {
     ))
 
   private val adult = DatasetSpec(
-    "adult", 48842, 48842,
+    "adult", 48842,
     Vector(
       IntRange("age", 17, 74),
       Cat("workclass", Seq(
@@ -172,7 +169,7 @@ object Datasets {
     ))
 
   private val ncvoter = DatasetSpec(
-    "ncvoter-1k", 1000, 1000,
+    "ncvoter-1k", 1000,
     Vector(
       Code("voter_id", "VR", 600, 6),
       Cat("county", (1 to 20).map(i => s"COUNTY$i")),
@@ -192,7 +189,7 @@ object Datasets {
     ))
 
   private val letter = DatasetSpec(
-    "letter", 20000, 20000,
+    "letter", 20000,
     Cat("letter", ('A' to 'Z').map(_.toString), uniform = true) +:
       Vector(
         "box_x", "box_y", "width", "height", "onpix", "xbar", "ybar", "x2bar",
@@ -200,7 +197,7 @@ object Datasets {
       ).map(n => IntRange(n, 0, 16, uniform = true): AttrSpec))
 
   private val hepatitis = DatasetSpec(
-    "hepatitis", 155, 155,
+    "hepatitis", 155,
     Vector[AttrSpec](
       Cat("class", Seq("DIE", "LIVE")),
       IntRange("age", 7, 72),
@@ -215,7 +212,7 @@ object Datasets {
     ))
 
   private val horse = DatasetSpec(
-    "horse", 368, 368,
+    "horse", 368,
     Vector[AttrSpec](
       Cat("surgery", Seq("1", "2")),
       Cat("age_class", Seq("1", "9")),
@@ -246,10 +243,10 @@ object Datasets {
       Cat("cp_data", Seq("1", "2")),
     ))
 
-  private val fdRed = DatasetSpec("fd-red-30", 20000, 250000, mixedSpecs(30, 20000, 1001))
-  private val plista = DatasetSpec("plista", 1000, 1000, mixedSpecs(42, 1000, 1002))
-  private val flight = DatasetSpec("flight-1k", 1000, 1000, mixedSpecs(74, 1000, 1003))
-  private val uniprot = DatasetSpec("uniprot", 1000, 1000, mixedSpecs(181, 1000, 1004))
+  private val fdRed = DatasetSpec("fd-red-30", 250000, mixedSpecs(30, 250000, 1001))
+  private val plista = DatasetSpec("plista", 1000, mixedSpecs(42, 1000, 1002))
+  private val flight = DatasetSpec("flight-1k", 1000, mixedSpecs(74, 1000, 1003))
+  private val uniprot = DatasetSpec("uniprot", 1000, mixedSpecs(181, 1000, 1004))
 
   /** Deterministic mixed-kind schema for the wide/generic datasets. */
   def mixedSpecs(n: Int, rows: Long, seed: Long): Vector[AttrSpec] = {

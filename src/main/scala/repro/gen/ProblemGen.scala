@@ -13,7 +13,18 @@ import repro.core.model.{AttrFunc, Explanation, LocalInstance, Num}
 /** A dataset materialized on the driver (generated once per dataset and
   * reused across all problem instances derived from it).
   */
-final case class Dataset(name: String, attrs: Vector[String], rows: Array[Array[String]])
+final case class Dataset(name: String, attrs: Vector[String], rows: Array[Array[String]]) {
+
+  /** Each attribute's distinct values in first-occurrence order, built once
+    * per dataset rather than once per generated instance. Derived from
+    * `rows`, so a copy with other rows derives its own.
+    */
+  lazy val domains: Vector[Array[String]] = Vector.tabulate(attrs.length) { a =>
+    val seen = mutable.LinkedHashSet.empty[String]
+    rows.foreach(r => seen += r(a))
+    seen.toArray
+  }
+}
 
 /** A generated problem instance plus everything needed to judge a produced
   * explanation against the ground truth (§5.1–§5.2).
@@ -66,22 +77,17 @@ object ProblemGen {
     val tgtNoiseIdx = perm.slice(coreN + noiseN, n)
 
     // --- sample attribute transformations (reject all-transformed) ---
-    val domains: Vector[Array[String]] = Vector.tabulate(d) { a =>
-      val seen = mutable.LinkedHashSet.empty[String]
-      ds.rows.foreach(r => seen += r(a))
-      seen.toArray
-    }
     var funcs: Vector[AttrFunc] = null
     var attempts = 0
     while (funcs == null && attempts < 100) {
       attempts += 1
       val sampled = Vector.tabulate(d) { a =>
-        if (rnd.nextDouble() < tau) FuncSampler.sample(domains(a), rnd) else Funcs.Identity
+        if (rnd.nextDouble() < tau) FuncSampler.sample(ds.domains(a), rnd) else Funcs.Identity
       }
       if (sampled.exists(_.isIdentity)) funcs = sampled
     }
     if (funcs == null) funcs = Vector.tabulate(d)(a =>
-      if (a == 0) Funcs.Identity else FuncSampler.sample(domains(a), rnd))
+      if (a == 0) Funcs.Identity else FuncSampler.sample(ds.domains(a), rnd))
 
     // --- build snapshots; pk is appended as the last attribute ---
     val m = coreN + noiseN // records per snapshot

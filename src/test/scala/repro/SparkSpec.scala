@@ -6,7 +6,7 @@ import org.scalatest.funsuite.AnyFunSuite
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is `-Xmx` of SPARK_DRIVER_MEM, set via `Test / javaOptions`
-  * in build.sbt (48g when unset, so set it to fit the machine).
+  * in build.sbt (when unset, half of physical memory clamped to 2–8 g).
   * Automatic broadcast joins are disabled, so joins take the
   * shuffle path unless a query asks for `broadcast(...)` itself.
   */
