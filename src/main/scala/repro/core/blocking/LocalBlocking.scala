@@ -1,44 +1,21 @@
 package repro.core.blocking
 
-import repro.core.model.{AttrFunc, CodeTable, EncodedAttr, LocalInstance, Marks}
+import repro.core.model.{AttrFunc, CodeTable, LocalInstance, Marks}
 
-/** One block of the blocking result Φ_H (Def. 4.4): the source and target
-  * record indices, each ascending, that share a blocking index κ under the
-  * current state.
+/** One mixed block of the blocking result Φ_H (Def. 4.4): the source and
+  * target record indices, each ascending and neither empty, that share a
+  * blocking index κ under the current state.
   */
-final case class Block(src: Array[Int], tgt: Array[Int]) {
-  def isMixed: Boolean = src.length > 0 && tgt.length > 0
-}
+final case class Block(src: Array[Int], tgt: Array[Int])
 
-/** The full blocking result plus the state-cost lower bounds derived from
-  * it (§4.5): `ct` counts target records that can no longer be aligned,
-  * `cs` counts source records that can no longer be aligned. `mixed` holds
-  * the blocks with both sources and targets, in block order.
+/** What the search reads of Φ_H: its mixed blocks (those with both sources
+  * and targets), ascending by first source, and the state-cost lower bounds
+  * of §4.5. `ct` counts target records that can no longer be aligned: every
+  * target of a block without sources plus each mixed block's target
+  * surplus; `cs` counts the same for sources. A block with one side adds
+  * nothing but its size, so it is not kept.
   */
-final class BlockingResult private[blocking] (val blocks: Array[Block], val mixed: Array[Block]) {
-
-  def ct: Int = {
-    var acc = 0
-    var i = 0
-    while (i < blocks.length) {
-      val b = blocks(i)
-      if (b.tgt.length > b.src.length) acc += b.tgt.length - b.src.length
-      i += 1
-    }
-    acc
-  }
-
-  def cs: Int = {
-    var acc = 0
-    var i = 0
-    while (i < blocks.length) {
-      val b = blocks(i)
-      if (b.src.length > b.tgt.length) acc += b.src.length - b.tgt.length
-      i += 1
-    }
-    acc
-  }
-}
+final class BlockingResult private[blocking] (val mixed: Array[Block], val ct: Int, val cs: Int)
 
 /** In-memory blocking engine over the dictionary-encoded instance. */
 object LocalBlocking {
@@ -48,108 +25,124 @@ object LocalBlocking {
     * the assigned function applied on the source side (Def. 4.3).
     *
     * Blocks are found by partition refinement: all records start in one
-    * block, and each decided attribute splits every block by the record's
-    * code, (parent block, code) ↦ child — the step [[refine]] takes once.
-    * Children are numbered in order of first occurrence, sources before
-    * targets and each by ascending index, so blocks come out in order of
-    * their first record, whatever order the attributes are refined in. With
-    * no decided attributes every record falls into the single empty-index
-    * block.
+    * block, and each decided attribute splits it by the records' codes, the
+    * step [[refine]] takes. The blocks come out in the same order whatever
+    * order the attributes are refined in.
     */
   def block(inst: LocalInstance, decided: Array[(Int, AttrFunc)]): BlockingResult = {
     val ns = inst.source.length
     val nt = inst.target.length
-    if (ns + nt == 0) return new BlockingResult(Array.empty, Array.empty)
-    val srcBlock = new Array[Int](ns)
-    val tgtBlock = new Array[Int](nt)
-    var nBlocks = 1
-    val children = new LongIntMap(ns + nt)
-    for ((a, f) <- decided) {
-      val col = inst.encoded(a)
-      nBlocks = split(col, new CodeTable(col, f), srcBlock, tgtBlock, children)
+    val all = if (ns > 0 && nt > 0) Array(Block(Array.range(0, ns), Array.range(0, nt))) else Array.empty[Block]
+    decided.foldLeft(new BlockingResult(all, math.max(0, nt - ns), math.max(0, ns - nt))) { case (b, (a, f)) =>
+      refine(inst, b, a, new CodeTable(inst.encoded(a), f))
     }
-    result(srcBlock, tgtBlock, nBlocks)
   }
 
   /** Φ_H of a state one assignment `attr ↦ f` below the state whose
-    * blocking is `parent`, where `table` applies `f` to `attr`: one O(N)
-    * pass that splits every parent block by code. Equal, block for block and
-    * in order, to [[block]] over the parent's decided pairs plus
-    * `(attr, f)`.
+    * blocking is `parent`, where `table` applies `f` to `attr`: each mixed
+    * parent block splits into one child per code, in O(records in mixed
+    * blocks) plus two scratch arrays the size of the attribute's
+    * dictionary. A child with one side, and a source whose output is absent
+    * from the dictionary, only count in `ct`/`cs`.
+    * Equal, block for block and in order, to [[block]] over the parent's
+    * decided pairs plus `(attr, f)`.
     */
   def refine(inst: LocalInstance, parent: BlockingResult, attr: Int, table: CodeTable): BlockingResult = {
-    val srcBlock = new Array[Int](inst.source.length)
-    val tgtBlock = new Array[Int](inst.target.length)
-    var b = 0
-    while (b < parent.blocks.length) {
-      val block = parent.blocks(b)
-      var i = 0
-      while (i < block.src.length) { srcBlock(block.src(i)) = b; i += 1 }
-      var j = 0
-      while (j < block.tgt.length) { tgtBlock(block.tgt(j)) = b; j += 1 }
-      b += 1
-    }
-    val children = new LongIntMap(srcBlock.length + tgtBlock.length)
-    result(srcBlock, tgtBlock, split(inst.encoded(attr), table, srcBlock, tgtBlock, children))
-  }
-
-  /** One refinement step in place: each record's block becomes the child
-    * (its block, its code under `table`), numbered by first occurrence.
-    * Returns the number of children.
-    */
-  private def split(
-      col: EncodedAttr,
-      table: CodeTable,
-      srcBlock: Array[Int],
-      tgtBlock: Array[Int],
-      children: LongIntMap,
-  ): Int = {
-    children.clear()
-    var i = 0
-    while (i < srcBlock.length) {
-      srcBlock(i) = children.getOrAdd(pack(srcBlock(i), table(col.src(i))))
-      i += 1
-    }
-    var j = 0
-    while (j < tgtBlock.length) {
-      tgtBlock(j) = children.getOrAdd(pack(tgtBlock(j), col.tgt(j)))
-      j += 1
-    }
-    children.size
-  }
-
-  private def result(srcBlock: Array[Int], tgtBlock: Array[Int], nBlocks: Int): BlockingResult = {
-    val srcs = members(srcBlock, nBlocks)
-    val tgts = members(tgtBlock, nBlocks)
-    val blocks = new Array[Block](nBlocks)
-    val mixed = Array.newBuilder[Block]
-    var b = 0
-    while (b < nBlocks) {
-      blocks(b) = Block(srcs(b), tgts(b))
-      if (blocks(b).isMixed) mixed += blocks(b)
-      b += 1
-    }
-    new BlockingResult(blocks, mixed.result())
-  }
-
-  private def pack(block: Int, code: Int): Long = (block.toLong << 32) | code.toLong
-
-  /** Record indices per block, ascending. */
-  private def members(blockOf: Array[Int], nBlocks: Int): Array[Array[Int]] = {
-    val sizes = new Array[Int](nBlocks)
+    val col = inst.encoded(attr)
+    val mixed = parent.mixed
+    val records = mixed.iterator.map(b => b.src.length + b.tgt.length).sum
+    // Each record's child (−1: no child), in the order the loops visit them.
+    val childOf = new Array[Int](records)
+    // The child of (current parent, code) + 1, and the codes set in it.
+    val childOfCode = new Array[Int](col.size)
+    val codes = new Array[Int](col.size)
+    var nChildren = 0
+    val nSrc = new Array[Int](records)
+    val nTgt = new Array[Int](records)
+    val blocks = new Array[Block](records) // mixed children
+    var ct = parent.ct
+    var cs = parent.cs
     var r = 0
-    while (r < blockOf.length) { sizes(blockOf(r)) += 1; r += 1 }
-    val out = sizes.map(new Array[Int](_))
-    java.util.Arrays.fill(sizes, 0)
-    var i = 0
-    while (i < blockOf.length) {
-      val b = blockOf(i)
-      out(b)(sizes(b)) = i
-      sizes(b) += 1
-      i += 1
+    var p = 0
+    while (p < mixed.length) {
+      val b = mixed(p)
+      // The parent's surplus is replaced by its children's.
+      ct -= math.max(0, b.tgt.length - b.src.length)
+      cs -= math.max(0, b.src.length - b.tgt.length)
+      val first = nChildren
+      var i = 0
+      while (i < b.src.length) {
+        val c = table(col.src(b.src(i)))
+        if (c >= col.size) { childOf(r) = -1; cs += 1 }
+        else {
+          if (childOfCode(c) == 0) { codes(nChildren - first) = c; nChildren += 1; childOfCode(c) = nChildren }
+          childOf(r) = childOfCode(c) - 1
+          nSrc(childOf(r)) += 1
+        }
+        r += 1
+        i += 1
+      }
+      var j = 0
+      while (j < b.tgt.length) {
+        val c = col.tgt(b.tgt(j))
+        if (childOfCode(c) == 0) { codes(nChildren - first) = c; nChildren += 1; childOfCode(c) = nChildren }
+        childOf(r) = childOfCode(c) - 1
+        nTgt(childOf(r)) += 1
+        r += 1
+        j += 1
+      }
+      var k = first
+      while (k < nChildren) { childOfCode(codes(k - first)) = 0; k += 1 }
+      // A block the attribute does not split is kept as it is.
+      if (nChildren == first + 1 && nSrc(first) == b.src.length && nTgt(first) == b.tgt.length) blocks(first) = b
+      p += 1
     }
-    out
+    // Children are numbered by first occurrence within their parent,
+    // sources first, so each parent's mixed children come out ascending by
+    // first source; one sort merges the parents' runs.
+    val out = Array.newBuilder[Block]
+    var k = 0
+    while (k < nChildren) {
+      ct += math.max(0, nTgt(k) - nSrc(k))
+      cs += math.max(0, nSrc(k) - nTgt(k))
+      if (blocks(k) != null) out += blocks(k)
+      else if (nSrc(k) > 0 && nTgt(k) > 0) {
+        blocks(k) = Block(new Array[Int](nSrc(k)), new Array[Int](nTgt(k)))
+        out += blocks(k)
+        nSrc(k) = 0
+        nTgt(k) = 0
+      }
+      k += 1
+    }
+    r = 0
+    p = 0
+    while (p < mixed.length) {
+      val b = mixed(p)
+      if (childOf(r) >= 0 && (blocks(childOf(r)) eq b)) r += b.src.length + b.tgt.length
+      else {
+        var i = 0
+        while (i < b.src.length) {
+          val child = childOf(r)
+          if (child >= 0 && blocks(child) != null) { blocks(child).src(nSrc(child)) = b.src(i); nSrc(child) += 1 }
+          r += 1
+          i += 1
+        }
+        var j = 0
+        while (j < b.tgt.length) {
+          val child = childOf(r)
+          if (blocks(child) != null) { blocks(child).tgt(nTgt(child)) = b.tgt(j); nTgt(child) += 1 }
+          r += 1
+          j += 1
+        }
+      }
+      p += 1
+    }
+    val result = out.result()
+    java.util.Arrays.sort(result, BySource)
+    new BlockingResult(result, ct, cs)
   }
+
+  private val BySource: java.util.Comparator[Block] = (x: Block, y: Block) => Integer.compare(x.src(0), y.src(0))
 
   /** Indeterminacy of an undecided attribute under Φ_H (§4.3): the maximum
     * number of distinct source values of the attribute over mixed blocks —
@@ -186,38 +179,5 @@ object LocalBlocking {
       }
       best
     }
-  }
-}
-
-/** Open-addressing map from non-negative `Long` keys to dense ids
-  * 0, 1, 2, … in order of first insertion, sized for at most `capacity`
-  * keys.
-  */
-private final class LongIntMap(capacity: Int) {
-  private val mask = Integer.highestOneBit(math.max(2, capacity) * 2 - 1) * 2 - 1
-  private val keys = new Array[Long](mask + 1)
-  private val ids = new Array[Int](mask + 1) // id + 1; 0 = empty slot
-  var size = 0
-
-  def clear(): Unit = {
-    java.util.Arrays.fill(ids, 0)
-    size = 0
-  }
-
-  /** The id of `key`, which gets the next id if it is new. */
-  def getOrAdd(key: Long): Int = {
-    var slot = java.lang.Long.hashCode(key * 0x9E3779B97F4A7C15L) & mask
-    while (true) {
-      val id = ids(slot)
-      if (id == 0) {
-        keys(slot) = key
-        size += 1
-        ids(slot) = size
-        return size - 1
-      }
-      if (keys(slot) == key) return id - 1
-      slot = (slot + 1) & mask
-    }
-    -1
   }
 }

@@ -72,9 +72,8 @@ trait CodeMap {
 /** An [[AttrFunc]] applied to the codes of one attribute: `apply(c)` is the
   * code of `f(dict(c))`. `f` runs at most once per distinct source code,
   * when the code is first asked for. An output found in the dictionary gets
-  * its dictionary code; any other output gets a table-local code at or above
-  * `attr.size`, equal outputs sharing one. Such an output matches no value
-  * of the instance, so it never equals a target code.
+  * its dictionary code; every other output gets `attr.size`. Such an output
+  * matches no value of the instance, so it never equals a target code.
   *
   * A table only grows: a code once filled keeps its output, so one table
   * can serve every call that applies `f` to the attribute (a search run
@@ -83,7 +82,6 @@ trait CodeMap {
 final class CodeTable(attr: EncodedAttr, val f: AttrFunc) extends CodeMap {
   private val identity = f.isIdentity
   private val table = if (identity) null else new Array[Int](attr.size) // code + 1; 0 = not yet run
-  private var fresh: java.util.HashMap[String, Integer] = _
 
   def apply(c: Int): Int =
     if (identity) c
@@ -91,24 +89,10 @@ final class CodeTable(attr: EncodedAttr, val f: AttrFunc) extends CodeMap {
       val t = table(c)
       if (t != 0) t - 1
       else {
-        val out = encode(f(attr.dict(c)))
+        val code = attr.codeOf(f(attr.dict(c)))
+        val out = if (code >= 0) code else attr.size
         table(c) = out + 1
         out
       }
     }
-
-  private def encode(v: String): Int = {
-    val c = attr.codeOf(v)
-    if (c >= 0) c
-    else {
-      if (fresh == null) fresh = new java.util.HashMap[String, Integer]()
-      val known = fresh.get(v)
-      if (known != null) known.intValue
-      else {
-        val code = attr.size + fresh.size
-        fresh.put(v, code)
-        code
-      }
-    }
-  }
 }

@@ -1,5 +1,6 @@
 package repro.core.search
 
+import scala.collection.immutable.BitSet
 import scala.collection.mutable
 import scala.util.Random
 
@@ -58,10 +59,11 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
 
   /** Cost of `parent + (attr ↦ f)` computed by refining the parent's
     * blocking on the one new attribute — equivalent to a full re-blocking
-    * (the refined partition equals blocking on decided ∪ {attr}) but O(N)
-    * instead of O(N·d). Inside a mixed block, the sources and targets with
-    * one code form one child block; a source whose output is absent from
-    * the dictionary matches no target and counts in `cs` on its own.
+    * (the refined partition equals blocking on decided ∪ {attr}) but over
+    * the records of mixed blocks only, once. Inside a mixed block, the
+    * sources and targets with one code form one child block; a source whose
+    * output is absent from the dictionary matches no target and counts in
+    * `cs` on its own.
     */
   def refinedCost(h: State, parentBlocking: BlockingResult, attr: Int, f: AttrFunc): Double =
     refinedCost(h, parentBlocking, attr, f.psi, new CodeTable(inst.encoded(attr), f))
@@ -75,9 +77,10 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
   }
 
   /** [[refinedCost]] of a function with description length `psi` that
-    * `fc` applies to `attr`. Within a block, a target takes a pending
-    * source of its code if there is one and counts in `ct` otherwise; the
-    * sources left pending count in `cs`.
+    * `fc` applies to `attr`. The parent's `ct`/`cs` carry over, except that
+    * each mixed block's own surplus gives way to its children's: within the
+    * block, a target takes a pending source of its code if there is one and
+    * counts in `ct` otherwise; the sources left pending count in `cs`.
     */
   private def refinedCost(h: State, parentBlocking: BlockingResult, attr: Int, psi: Int, fc: CodeMap): Double = {
     evaluated += 1
@@ -88,39 +91,38 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
     }
     val pending = this.pending
     val touched = this.touched
-    var ct = 0
-    var cs = 0
-    val blocks = parentBlocking.blocks
+    var ct = parentBlocking.ct
+    var cs = parentBlocking.cs
+    val mixed = parentBlocking.mixed
     var bi = 0
-    while (bi < blocks.length) {
-      val b = blocks(bi)
-      if (b.src.length == 0) ct += b.tgt.length
-      else if (b.tgt.length == 0) cs += b.src.length
-      else {
-        var nTouched = 0
-        var i = 0
-        while (i < b.src.length) {
-          val c = fc(col.src(b.src(i)))
-          if (c >= col.size) cs += 1
-          else {
-            if (pending(c) == 0) { touched(nTouched) = c; nTouched += 1 }
-            pending(c) += 1
-          }
-          i += 1
+    while (bi < mixed.length) {
+      val b = mixed(bi)
+      // The block's surplus is replaced by its children's.
+      ct -= math.max(0, b.tgt.length - b.src.length)
+      cs -= math.max(0, b.src.length - b.tgt.length)
+      var nTouched = 0
+      var i = 0
+      while (i < b.src.length) {
+        val c = fc(col.src(b.src(i)))
+        if (c >= col.size) cs += 1
+        else {
+          if (pending(c) == 0) { touched(nTouched) = c; nTouched += 1 }
+          pending(c) += 1
         }
-        var j = 0
-        while (j < b.tgt.length) {
-          val c = col.tgt(b.tgt(j))
-          if (pending(c) > 0) pending(c) -= 1 else ct += 1
-          j += 1
-        }
-        var k = 0
-        while (k < nTouched) {
-          val c = touched(k)
-          cs += pending(c)
-          pending(c) = 0
-          k += 1
-        }
+        i += 1
+      }
+      var j = 0
+      while (j < b.tgt.length) {
+        val c = col.tgt(b.tgt(j))
+        if (pending(c) > 0) pending(c) -= 1 else ct += 1
+        j += 1
+      }
+      var k = 0
+      while (k < nTouched) {
+        val c = touched(k)
+        cs += pending(c)
+        pending(c) = 0
+        k += 1
       }
       bi += 1
     }
@@ -238,9 +240,10 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
 object Affidavit {
 
   /** Convert an end state to a valid explanation (Proposition 3.6): block on
-    * the full assignment; inside each block the transformed sources and the
-    * targets agree on every attribute, so pairing is arbitrary — leftover
-    * sources are deleted, leftover targets inserted.
+    * the full assignment; inside each mixed block the transformed sources
+    * and the targets agree on every attribute, so pairing is arbitrary.
+    * Every other source is deleted and every other target inserted, both
+    * ascending.
     */
   def toExplanation(inst: LocalInstance, endState: State): Explanation =
     toExplanation(inst, endState, LocalBlocking.block(inst, endState.decided))
@@ -249,22 +252,14 @@ object Affidavit {
   private def toExplanation(inst: LocalInstance, endState: State, blocking: BlockingResult): Explanation = {
     require(endState.isEnd, "toExplanation requires an end state")
     val funcs = endState.slots.map(_.asInstanceOf[Slot.Decided].f)
-
-    val alignment = Vector.newBuilder[(Int, Int)]
-    val deleted = Vector.newBuilder[Int]
-    val inserted = Vector.newBuilder[Int]
-    for (b <- blocking.blocks) {
-      val n = math.min(b.src.length, b.tgt.length)
-      val srcSorted = b.src.sorted
-      val tgtSorted = b.tgt.sorted
-      var i = 0
-      while (i < n) { alignment += ((srcSorted(i), tgtSorted(i))); i += 1 }
-      var s = n
-      while (s < srcSorted.length) { deleted += srcSorted(s); s += 1 }
-      var t = n
-      while (t < tgtSorted.length) { inserted += tgtSorted(t); t += 1 }
-    }
-    Explanation(funcs, alignment.result(), deleted.result(), inserted.result())
+    val alignment = blocking.mixed.toVector.flatMap(b => b.src.zip(b.tgt))
+    val alignedSrc = alignment.iterator.map(_._1).to(BitSet)
+    val alignedTgt = alignment.iterator.map(_._2).to(BitSet)
+    Explanation(
+      funcs,
+      alignment,
+      inst.source.indices.filterNot(alignedSrc).toVector,
+      inst.target.indices.filterNot(alignedTgt).toVector)
   }
 
   /** Convenience: run with a given init strategy. */

@@ -40,10 +40,10 @@ object OverlapMatcher {
     */
   final case class OverlapResult(idAttrs: Set[Int], modalScore: Int, pairs: Long)
 
-  /** The best target of each source that has a candidate: its score and
-    * which attributes it matches on.
+  /** H^s over dictionary-encoded snapshots, one [[EncodedAttr]] per
+    * attribute (a `LocalInstance`'s `encoded`); record order is row-id order.
     */
-  private def bestPairs(cols: Array[EncodedAttr], maxBlock: Long): Array[(Int, Array[Boolean])] = {
+  def compute(cols: Array[EncodedAttr], maxBlock: Long): OverlapResult = {
     // Both snapshots as codes, row-major with `d` codes per record.
     // `first(a)` shifts attribute `a`'s codes into one code space over all
     // attributes.
@@ -84,9 +84,12 @@ object OverlapMatcher {
     // all attributes when it first finds it. A target first found after the
     // postings of `kept` values were probed holds none of those values, so
     // it scores at most d - kept: once that is below the best score so far,
-    // no target left can win and the source is done.
+    // no target left can win and the source is done. Of the best pairs (the
+    // best target of each source that has a candidate) only counts are
+    // kept: how many have each score, and how many match on each attribute.
     val stamp = new Array[Int](nTgt) // i + 1 once source i has scored target j
-    val out = Array.newBuilder[(Int, Array[Boolean])]
+    val byScore = new Array[Long](d + 1)
+    val byAttr = new Array[Long](d)
     for (i <- 0 until nSrc) {
       val s = i * d
       var bestScore = -1
@@ -111,27 +114,20 @@ object OverlapMatcher {
         if (start(g) < start(g + 1)) kept += 1
         a += 1
       }
-      if (bestJ >= 0) out += ((bestScore, Array.tabulate(d)(b => src(s + b) == tgt(bestJ * d + b))))
+      if (bestJ >= 0) {
+        byScore(bestScore) += 1
+        val t = bestJ * d
+        var b = 0
+        while (b < d) { if (src(s + b) == tgt(t + b)) byAttr(b) += 1; b += 1 }
+      }
     }
-    out.result()
-  }
-
-  /** H^s over dictionary-encoded snapshots, one [[EncodedAttr]] per
-    * attribute (a `LocalInstance`'s `encoded`); record order is row-id order.
-    */
-  def compute(cols: Array[EncodedAttr], maxBlock: Long): OverlapResult = {
-    val best = bestPairs(cols, maxBlock)
-    if (best.isEmpty) return OverlapResult(Set.empty, 0, 0L)
-    // Modal score k' and per-attribute overlap frequency over best pairs.
-    val modal = best
-      .groupBy(_._1)
-      .toSeq
-      .maxBy { case (sc, ps) => (ps.length, sc) }
-      ._1
-    val attrCounts = cols.indices.map(i => best.count(_._2(i)))
-    val kPrime = math.max(1, modal)
-    val idAttrs = cols.indices.sortBy(i => (-attrCounts(i), i)).take(kPrime).toSet
-    OverlapResult(idAttrs, modal, best.length.toLong)
+    val pairs = byScore.sum
+    if (pairs == 0) return OverlapResult(Set.empty, 0, 0L)
+    // The modal score k', ties going to the higher score, and the k' most
+    // frequently overlapping attributes.
+    val modal = (0 to d).maxBy(sc => (byScore(sc), sc))
+    val idAttrs = cols.indices.sortBy(i => (-byAttr(i), i)).take(math.max(1, modal)).toSet
+    OverlapResult(idAttrs, modal, pairs)
   }
 
   /** A snapshot's attribute values, one array per record, in `__row` order. */

@@ -182,6 +182,23 @@ class AffidavitSpec extends AnyFunSuite {
     }
   }
 
+  test("toExplanation: deleted and inserted are ascending and cover what the alignment leaves") {
+    val re = RunningExample.instance
+    val found = for ((name, i) <- edgeCases :+ ("running example" -> re); init <- Seq(InitStrategy.Id, InitStrategy.Blank))
+      yield (s"$name $init", i, Affidavit.run(i, AffidavitConfig.hidConfig(3), init).explanation)
+    val e1 = Affidavit.toExplanation(re, RunningExample.e1.funcs.zipWithIndex.foldLeft(State.blank(re.d)) {
+      case (h, (f, a)) => h.assign(a, f)
+    })
+    for ((name, i, e) <- found :+ (("E1's functions", re, e1))) {
+      def ascending(xs: Vector[Int]) = xs.sliding(2).forall(p => p.length < 2 || p(0) < p(1))
+      assert(ascending(e.deleted) && ascending(e.inserted), name)
+      assert(e.deleted.intersect(e.alignment.map(_._1)).isEmpty, name)
+      assert(e.inserted.intersect(e.alignment.map(_._2)).isEmpty, name)
+      assert((e.deleted ++ e.alignment.map(_._1)).sorted == i.source.indices, name)
+      assert((e.inserted ++ e.alignment.map(_._2)).sorted == i.target.indices, name)
+    }
+  }
+
   test("values containing U+0001 are explained validly at their true cost") {
     val i = inst(Seq(Seq("x\u0001y", "z")), Seq(Seq("x", "y\u0001z")), "a", "b")
     val res = Affidavit.run(i, AffidavitConfig.hidConfig(1), InitStrategy.Id)

@@ -17,19 +17,31 @@ import repro.gen.{Dataset, ProblemGen}
   */
 class BlockingOracleSpec extends AnyFunSuite {
 
-  /** Blocks as (sources, targets), in order of their first record (sources
-    * before targets, each by ascending index).
+  /** Φ_H as the search reads it: the mixed blocks as (sources, targets), in
+    * order, then `ct` and `cs`.
     */
-  private def oracleBlocks(inst: LocalInstance, decided: Array[(Int, AttrFunc)]): Seq[(Seq[Int], Seq[Int])] = {
+  private type View = (Seq[(Seq[Int], Seq[Int])], Int, Int)
+
+  /** The oracle's [[View]]: blocks in order of their first record (sources
+    * before targets, each by ascending index), so mixed blocks come
+    * ascending by first source; `ct`/`cs` sum every block's surpluses.
+    */
+  private def oracleView(inst: LocalInstance, decided: Array[(Int, AttrFunc)]): View = {
     val m = mutable.LinkedHashMap.empty[Vector[String], (mutable.ArrayBuffer[Int], mutable.ArrayBuffer[Int])]
     def cell(k: Vector[String]) = m.getOrElseUpdate(k, (mutable.ArrayBuffer.empty, mutable.ArrayBuffer.empty))
     inst.source.indices.foreach(i => cell(decided.toVector.map { case (a, f) => f(inst.source(i)(a)) })._1 += i)
     inst.target.indices.foreach(j => cell(decided.toVector.map { case (a, _) => inst.target(j)(a) })._2 += j)
-    m.valuesIterator.map { case (s, t) => (s.toSeq, t.toSeq) }.toSeq
+    val blocks = m.valuesIterator.map { case (s, t) => (s.toSeq, t.toSeq) }.toSeq
+    (
+      blocks.filter { case (s, t) => s.nonEmpty && t.nonEmpty },
+      blocks.map { case (s, t) => math.max(0, t.size - s.size) }.sum,
+      blocks.map { case (s, t) => math.max(0, s.size - t.size) }.sum)
   }
 
-  private def engineBlocks(inst: LocalInstance, decided: Array[(Int, AttrFunc)]): Seq[(Seq[Int], Seq[Int])] =
-    LocalBlocking.block(inst, decided).blocks.toSeq.map(b => (b.src.toSeq, b.tgt.toSeq))
+  private def view(b: BlockingResult): View = (b.mixed.toSeq.map(b => (b.src.toSeq, b.tgt.toSeq)), b.ct, b.cs)
+
+  private def engineView(inst: LocalInstance, decided: Array[(Int, AttrFunc)]): View =
+    view(LocalBlocking.block(inst, decided))
 
   /** Functions worth trying on attribute `a`: identity, a constant no
     * record holds, additions, a map over some of the attribute's values
@@ -42,9 +54,6 @@ class BlockingOracleSpec extends AnyFunSuite {
     Seq(Identity, Const("never-seen"), Const(values.head), Add(BigDecimal(1)), Add(BigDecimal(-0.5)), map) ++ extra
   }
 
-  private def blocksOf(b: BlockingResult): Seq[(Seq[Int], Seq[Int])] =
-    b.blocks.toSeq.map(b => (b.src.toSeq, b.tgt.toSeq))
-
   /** Random decided assignments over `inst`, each checked against the
     * oracle, and every one-attribute extension's refined cost checked
     * against the cost of the extended state.
@@ -53,7 +62,7 @@ class BlockingOracleSpec extends AnyFunSuite {
     val aff = new Affidavit(inst, AffidavitConfig(seed = 1))
     for (_ <- 1 to rounds) {
       val h = randomState(inst, rnd, extra)
-      assert(engineBlocks(inst, h.decided) == oracleBlocks(inst, h.decided), h.signature)
+      assert(engineView(inst, h.decided) == oracleView(inst, h.decided), h.signature)
       val blocking = LocalBlocking.block(inst, h.decided)
       for (a <- h.undecided; f <- funcsFor(inst, a, rnd, extra(a))) {
         val ext = h.assign(a, f)
@@ -88,9 +97,9 @@ class BlockingOracleSpec extends AnyFunSuite {
       for (a <- h.undecided; f <- funcsFor(inst, a, rnd, extra(a))) {
         val refined = LocalBlocking.refine(inst, blocking, a, tables(a, f))
         val extended = h.decided :+ ((a, f))
-        assert(blocksOf(refined) == engineBlocks(inst, extended), h.assign(a, f).signature)
-        assert(blocksOf(refined) == oracleBlocks(inst, extended), h.assign(a, f).signature)
-        assert(blocksOf(LocalBlocking.refine(inst, root, a, tables(a, f))) == engineBlocks(inst, Array((a, f))))
+        assert(view(refined) == engineView(inst, extended), h.assign(a, f).signature)
+        assert(view(refined) == oracleView(inst, extended), h.assign(a, f).signature)
+        assert(view(LocalBlocking.refine(inst, root, a, tables(a, f))) == engineView(inst, Array((a, f))))
       }
     }
   }
@@ -176,6 +185,24 @@ class BlockingOracleSpec extends AnyFunSuite {
     val rnd = new Random(7)
     for ((inst, funcs) <- generatedInstances(rnd)) checkGreedy(inst, rnd, funcs, rounds = 8)
     for (inst <- nullTables(rnd)) checkGreedy(inst, rnd, _ => Seq(Upper, Const(null)), rounds = 6)
+  }
+
+  test("sources of one mixed block whose outputs are distinct and outside the dictionary count in cs") {
+    // Under k = id all records share one mixed block; add(1) maps 10 and 20
+    // to 11 and 21, two different values no record holds.
+    val inst = LocalInstance(
+      Vector("k", "v"),
+      Array(Array("a", "10"), Array("a", "20"), Array("a", "30")),
+      Array(Array("a", "31"), Array("a", "50")))
+    val h = State.blank(2).assign(0, Identity)
+    val parent = LocalBlocking.block(inst, h.decided)
+    assert(parent.mixed.length == 1)
+    val refined = LocalBlocking.refine(inst, parent, 1, new CodeTable(inst.encoded(1), Add(BigDecimal(1))))
+    assert(view(refined) == (Seq((Seq(2), Seq(0))), 1, 2))
+    assert(!refined.mixed.exists(b => b.src.contains(0) || b.src.contains(1)))
+    assert(view(refined) == oracleView(inst, h.decided :+ ((1, Add(BigDecimal(1))))))
+    val aff = new Affidavit(inst, AffidavitConfig(seed = 1))
+    assert(aff.refinedCost(h, parent, 1, Add(BigDecimal(1))) == aff.stateCost(h.assign(1, Add(BigDecimal(1)))))
   }
 
   test("shuffle permutes and draws like Random.shuffle") {

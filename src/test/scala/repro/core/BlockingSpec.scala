@@ -16,21 +16,21 @@ class BlockingSpec extends AnyFunSuite {
 
   test("Figure 3: block κi = (C, k $, SAP) holds S08,S09,S10 vs T08,T10") {
     val blocks = LocalBlocking.block(inst, h1)
-    val b = blocks.blocks.find(b => b.src.exists(i => inst.source(i)(0) == "S08")).get
+    val b = blocks.mixed.find(b => b.src.exists(i => inst.source(i)(0) == "S08")).get
     assert(b.src.map(i => inst.source(i)(0)).toSet == Set("S08", "S09", "S10"))
     assert(b.tgt.map(i => inst.target(i)(0)).toSet == Set("T08", "T10"))
-    assert(b.isMixed)
   }
 
   test("blocking with no decided attributes yields one block with everything") {
     val blocks = LocalBlocking.block(inst, Array.empty)
-    assert(blocks.blocks.length == 1)
-    assert(blocks.blocks(0).src.length == 17 && blocks.blocks(0).tgt.length == 16)
+    assert(blocks.mixed.length == 1)
+    assert(blocks.mixed(0).src.length == 17 && blocks.mixed(0).tgt.length == 16)
+    assert(blocks.ct == 0 && blocks.cs == 1)
   }
 
-  /** The block holding source record `s`. */
+  /** The mixed block holding source record `s`. */
   private def blockOfSource(blocks: BlockingResult, s: Int): Block =
-    blocks.blocks.find(_.src.contains(s)).get
+    blocks.mixed.find(_.src.contains(s)).get
 
   test("source records are indexed through their assigned functions") {
     // S01 = (A, USD, IBM) blocks as (A, k $, IBM): Unit goes through const.
@@ -46,15 +46,18 @@ class BlockingSpec extends AnyFunSuite {
     val blocks = LocalBlocking.block(inst, h1)
     assert(blockOfSource(blocks, 0).tgt.contains(0))
     val usdTargets = inst.target.indices.filter(j => inst.target(j)(5) == "USD")
-    assert(usdTargets.forall(j => !blocks.blocks.exists(b => b.src.nonEmpty && b.tgt.contains(j))))
+    assert(usdTargets.forall(j => !blocks.mixed.exists(_.tgt.contains(j))))
   }
 
   test("every record lands in exactly one block") {
     val blocks = LocalBlocking.block(inst, h1)
-    assert(blocks.blocks.map(_.src.length).sum == 17)
-    assert(blocks.blocks.map(_.tgt.length).sum == 16)
-    val allSrc = blocks.blocks.flatMap(_.src)
-    assert(allSrc.toSet.size == allSrc.length)
+    val mixedSrc = blocks.mixed.flatMap(_.src)
+    val mixedTgt = blocks.mixed.flatMap(_.tgt)
+    assert(mixedSrc.toSet.size == mixedSrc.length && mixedTgt.toSet.size == mixedTgt.length)
+    // Records outside mixed blocks count in full: cs and ct hold them on
+    // top of the mixed blocks' surpluses.
+    assert(blocks.cs - blocks.mixed.map(b => math.max(0, b.src.length - b.tgt.length)).sum == 17 - mixedSrc.length)
+    assert(blocks.ct - blocks.mixed.map(b => math.max(0, b.tgt.length - b.src.length)).sum == 16 - mixedTgt.length)
   }
 
   test("ct counts target surplus per block, cs source surplus") {
@@ -105,13 +108,13 @@ class BlockingSpec extends AnyFunSuite {
   test("null and the string \"null\" land in different blocks") {
     val toy = LocalInstance(Vector("a"), Array(Array(null), Array("null")), Array(Array("null"), Array(null)))
     val blocks = LocalBlocking.block(toy, Array((0, Identity)))
-    assert(blocks.blocks.map(b => (b.src.toSeq, b.tgt.toSeq)).toSeq == Seq((Seq(0), Seq(1)), (Seq(1), Seq(0))))
+    assert(blocks.mixed.map(b => (b.src.toSeq, b.tgt.toSeq)).toSeq == Seq((Seq(0), Seq(1)), (Seq(1), Seq(0))))
   }
 
   test("values containing U+0001 do not merge blocks") {
     val toy = LocalInstance(Vector("a", "b"), Array(Array("x\u0001y", "z")), Array(Array("x", "y\u0001z")))
     val blocks = LocalBlocking.block(toy, Array((0, Identity), (1, Identity)))
-    assert(blocks.blocks.length == 2 && blocks.mixed.isEmpty)
+    assert(blocks.mixed.isEmpty)
     assert(blocks.ct == 1 && blocks.cs == 1)
   }
 }

@@ -20,7 +20,7 @@ class SamplingInductionSpec extends AnyFunSuite {
     val pairs = Sampling.randomAlignment(blocking, new Random(1))
     assert(pairs.nonEmpty)
     for ((s, t) <- pairs) {
-      assert(blocking.blocks.exists(b => b.src.contains(s) && b.tgt.contains(t)))
+      assert(blocking.mixed.exists(b => b.src.contains(s) && b.tgt.contains(t)))
       assert(inst.source(s)(3) == inst.target(t)(3) && inst.source(s)(6) == inst.target(t)(6))
     }
   }
