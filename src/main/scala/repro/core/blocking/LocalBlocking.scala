@@ -14,8 +14,68 @@ final case class Block(src: Array[Int], tgt: Array[Int])
   * target of a block without sources plus each mixed block's target
   * surplus; `cs` counts the same for sources. A block with one side adds
   * nothing but its size, so it is not kept.
+  *
+  * The lazy views are what sampling reads: each is built the first time an
+  * extension asks for it and then shared by every attribute it induces on.
   */
-final class BlockingResult private[blocking] (val mixed: Array[Block], val ct: Int, val cs: Int)
+final class BlockingResult private[blocking] (val mixed: Array[Block], val ct: Int, val cs: Int) {
+
+  /** The targets of the mixed blocks, block after block: the pool that
+    * induction draws its examples from.
+    */
+  lazy val targets: Array[Int] = {
+    val out = new Array[Int](targetBlock.length)
+    var from = 0
+    var b = 0
+    while (b < mixed.length) {
+      val tgt = mixed(b).tgt
+      System.arraycopy(tgt, 0, out, from, tgt.length)
+      from += tgt.length
+      b += 1
+    }
+    out
+  }
+
+  /** The mixed block (its index in `mixed`) of each position of [[targets]]. */
+  lazy val targetBlock: Array[Int] = blockOfEach(sources = false)
+
+  /** The mixed block of each source, sources block after block: the pool
+    * that ranking draws its blocks from, one entry per source.
+    */
+  lazy val sourceBlock: Array[Int] = blockOfEach(sources = true)
+
+  /** Indices into `mixed`, the blocks with the most sources first. */
+  lazy val bySourceCount: Array[Int] = {
+    // Fewer sources sort later; the low half is the index.
+    val keys = new Array[Long](mixed.length)
+    var b = 0
+    while (b < keys.length) {
+      keys(b) = ((Int.MaxValue - mixed(b).src.length).toLong << 32) | b
+      b += 1
+    }
+    java.util.Arrays.sort(keys)
+    val out = new Array[Int](keys.length)
+    b = 0
+    while (b < keys.length) { out(b) = keys(b).toInt; b += 1 }
+    out
+  }
+
+  private def blockOfEach(sources: Boolean): Array[Int] = {
+    def size(b: Block) = if (sources) b.src.length else b.tgt.length
+    var n = 0
+    var b = 0
+    while (b < mixed.length) { n += size(mixed(b)); b += 1 }
+    val out = new Array[Int](n)
+    var from = 0
+    b = 0
+    while (b < mixed.length) {
+      java.util.Arrays.fill(out, from, from + size(mixed(b)), b)
+      from += size(mixed(b))
+      b += 1
+    }
+    out
+  }
+}
 
 /** In-memory blocking engine over the dictionary-encoded instance. */
 object LocalBlocking {
@@ -153,28 +213,31 @@ object LocalBlocking {
   def indeterminacy(inst: LocalInstance, blocking: BlockingResult, attr: Int): Int =
     indeterminacy(inst, blocking, attr, new Marks)
 
-  /** [[indeterminacy]] with `seen` as scratch for the codes of a block. */
+  /** [[indeterminacy]] with `seen` as scratch for the codes of a block.
+    * Blocks are visited from the most sources down, so the scan stops at
+    * the first block with no more sources than the best count so far: no
+    * block holds more distinct values than sources. No block holds more
+    * than all sources together either, so a count that reaches that ends
+    * the scan too.
+    */
   def indeterminacy(inst: LocalInstance, blocking: BlockingResult, attr: Int, seen: Marks): Int = {
     val col = inst.encoded(attr)
     val mixed = blocking.mixed
     if (mixed.isEmpty) col.srcDistinct
     else {
-      // A block with no more sources than `best` cannot raise it, and no
-      // block holds more distinct values than all sources together.
+      val order = blocking.bySourceCount
       var best = 0
       var i = 0
-      while (i < mixed.length && best < col.srcDistinct) {
-        val src = mixed(i).src
-        if (src.length > best) {
-          seen.clear()
-          var distinct = 0
-          var k = 0
-          while (k < src.length) {
-            if (seen.add(col.src(src(k)))) distinct += 1
-            k += 1
-          }
-          if (distinct > best) best = distinct
+      while (i < order.length && best < col.srcDistinct && mixed(order(i)).src.length > best) {
+        val src = mixed(order(i)).src
+        seen.clear()
+        var distinct = 0
+        var k = 0
+        while (k < src.length && distinct < col.srcDistinct) {
+          if (seen.add(col.src(src(k)))) distinct += 1
+          k += 1
         }
+        if (distinct > best) best = distinct
         i += 1
       }
       best

@@ -175,7 +175,7 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
     */
   def extensions(h: State): Seq[(State, Double)] = {
     val blocking = blockingOf(h)
-    val rnd = new Random(cfg.seed ^ scala.util.hashing.MurmurHash3.stringHash(h.signature).toLong)
+    val rnd = new Random(new LcgRandom(cfg.seed ^ scala.util.hashing.MurmurHash3.stringHash(h.signature).toLong))
 
     // Order-By-Indeterminacy: most determined (fewest distinct in-block
     // source values) first.

@@ -3,7 +3,7 @@ package repro.core.search
 import scala.collection.mutable
 import scala.util.Random
 
-import repro.core.blocking.{Block, BlockingResult}
+import repro.core.blocking.BlockingResult
 import repro.core.functions.MetaFunction
 import repro.core.model.{AttrFunc, CodeTable, EncodedAttr, LocalInstance, Marks}
 
@@ -40,22 +40,12 @@ object Induction {
     val col = inst.encoded(attr)
 
     // --- candidate generation from sampled noisy input-output examples ---
-    // Pool of (block, target record) pairs over mixed blocks.
-    val poolBlock = mutable.ArrayBuilder.make[Int]
-    val poolTarget = mutable.ArrayBuilder.make[Int]
-    var bi = 0
-    while (bi < mixed.length) {
-      val tgt = mixed(bi).tgt
-      var k = 0
-      while (k < tgt.length) { poolBlock += bi; poolTarget += tgt(k); k += 1 }
-      bi += 1
-    }
-    val blocks = poolBlock.result()
-    val targets = poolTarget.result()
+    // Positions in the blocking's pool of mixed targets.
+    val targets = blocking.targets
     val k = cfg.inductionSampleSize
-    val sampled: Array[Int] = // pool positions
+    val sampled =
       if (targets.length <= k) Array.range(0, targets.length)
-      else Sampling.shuffle(Array.range(0, targets.length), rnd).take(k)
+      else Sampling.draw(targets.length, k, rnd)
 
     // Distinct source codes per mixed block, in order of first occurrence,
     // computed when an example of the block is first drawn.
@@ -87,7 +77,7 @@ object Induction {
     while (si < sampled.length) {
       val p = sampled(si)
       val out = col.tgt(targets(p))
-      val vals = srcCodes(blocks(p))
+      val vals = srcCodes(blocking.targetBlock(p))
       counts.nextExample()
       var vi = 0
       while (vi < vals.length) {
@@ -110,8 +100,7 @@ object Induction {
     if (survivors.isEmpty) return Nil
 
     // --- ranking by sampled histogram overlap minus description length ---
-    val ranked = rankByOverlap(inst, mixed, attr, survivors, cfg, rnd, induced.seen)
-    ranked.take(cfg.beta).toList
+    rankByOverlap(inst, blocking, attr, survivors, cfg, rnd, induced).toList
   }
 
   /** [[induceCandidates]] with a registry that lives only for this call. */
@@ -124,51 +113,50 @@ object Induction {
   ): List[AttrFunc] =
     induceCandidates(inst, blocking, attr, cfg, rnd, new InducedCandidates(inst, cfg.metas)).map(_.f)
 
-  /** Rank candidates by the estimated number of records they would align:
-    * sample k' source records, dedupe their blocks, and on each block
-    * compare the histogram of transformed source values against the block's
-    * target-value histogram (sum of per-value minimum frequencies). The
+  /** The best β candidates, in rank order, by the estimated number of
+    * records they would align: sample k' source records, dedupe their
+    * blocks, and on each block compare the histogram of transformed source
+    * values against the block's target-value histogram (sum of per-value
+    * minimum frequencies). The
     * final rank key is total overlap minus ψ, descending, then ψ, then
     * `describe`, which tells the candidates of one attribute apart, so the
-    * order of `candidates` does not matter. `seen` is scratch.
+    * order of `candidates` does not matter. The histograms are the run's
+    * scratch, held by `induced`.
     */
   private def rankByOverlap(
       inst: LocalInstance,
-      mixed: Array[Block],
+      blocking: BlockingResult,
       attr: Int,
       candidates: Array[Candidate],
       cfg: AffidavitConfig,
       rnd: Random,
-      seen: Marks,
+      induced: InducedCandidates,
   ): Array[Candidate] = {
     val col = inst.encoded(attr)
-    // Pool of (block, source record) pairs, as the block index repeated
-    // once per source record.
-    val pool = mutable.ArrayBuilder.make[Int]
-    var bi = 0
-    while (bi < mixed.length) {
-      val n = mixed(bi).src.length
-      var i = 0
-      while (i < n) { pool += bi; i += 1 }
-      bi += 1
-    }
-    val weighted = pool.result()
+    val mixed = blocking.mixed
+    // The blocking's pool of mixed sources, as the block of each.
+    val pool = blocking.sourceBlock
     val kPrime = cfg.rankingSampleSize
-    val drawn = if (weighted.length <= kPrime) weighted else Sampling.shuffle(weighted, rnd).take(kPrime)
+    val drawn =
+      if (pool.length <= kPrime) pool
+      else Sampling.draw(pool.length, kPrime, rnd).map(pool)
+    val seen = induced.seen
     seen.clear()
     val chosenBlocks = drawn.filter(seen.add) // distinct, in order of first draw
 
     // Per chosen block, the target histogram and the source-code histogram
     // are built once; each candidate re-buckets the source histogram
     // through its code table, where outputs absent from the dictionary
-    // match no target and drop out.
+    // match no target and drop out. The three counts are zero between
+    // blocks.
+    val scratch = induced.histograms(col.size)
+    val tgtCount = scratch.tgtCount
+    val srcCount = scratch.srcCount
+    val srcCodes = scratch.srcCodes // distinct source codes of the block
+    val mapped = scratch.mapped
+    val hits = scratch.hits // codes with a mapped count
     val candTables = candidates.map(_.table)
     val overlaps = new Array[Long](candidates.length)
-    val tgtCount = new Array[Int](col.size)
-    val srcCount = new Array[Int](col.size)
-    val srcCodes = new Array[Int](col.size) // distinct source codes of the block
-    val mapped = new Array[Int](col.size)
-    val hits = new Array[Int](col.size) // codes with a mapped count
     var b = 0
     while (b < chosenBlocks.length) {
       val block = mixed(chosenBlocks(b))
@@ -212,14 +200,28 @@ object Induction {
       while (j < block.tgt.length) { tgtCount(col.tgt(block.tgt(j))) = 0; j += 1 }
       b += 1
     }
-    val score = Array.tabulate(candidates.length)(i => overlaps(i) - candidates(i).psi)
-    val rank: Ordering[Int] = (i, j) => {
-      val c = java.lang.Long.compare(score(j), score(i))
-      if (c != 0) c
-      else if (candidates(i).psi != candidates(j).psi) Integer.compare(candidates(i).psi, candidates(j).psi)
-      else candidates(i).describe.compareTo(candidates(j).describe)
+    val score = new Array[Long](candidates.length)
+    var ci = 0
+    while (ci < candidates.length) { score(ci) = overlaps(ci) - candidates(ci).psi; ci += 1 }
+    def before(i: Int, j: Int): Boolean =
+      if (score(i) != score(j)) score(i) > score(j)
+      else if (candidates(i).psi != candidates(j).psi) candidates(i).psi < candidates(j).psi
+      else candidates(i).describe.compareTo(candidates(j).describe) < 0
+    // The best β positions, in rank order, by insertion into `top`; the
+    // order is total, since `describe` tells the candidates apart.
+    val top = new Array[Int](math.min(cfg.beta, candidates.length))
+    var size = 0
+    var i = 0
+    while (i < candidates.length) {
+      if (size < top.length || before(i, top(size - 1))) {
+        if (size < top.length) size += 1
+        var j = size - 1
+        while (j > 0 && before(i, top(j - 1))) { top(j) = top(j - 1); j -= 1 }
+        top(j) = i
+      }
+      i += 1
     }
-    candidates.indices.sorted(rank).map(candidates).toArray
+    top.map(candidates(_))
   }
 }
 
@@ -243,15 +245,24 @@ final class Candidate private[search] (val id: Int, val f: AttrFunc, val describ
   * at most one [[CodeTable]] for the run. For each (attribute, input code,
   * output code) example it keeps the candidates the example induces, in
   * generation order, so an example seen in an earlier state is not induced
-  * again. It also holds the run's scratch for [[Induction.induceCandidates]].
+  * again. It also holds the run's scratch for [[Induction.induceCandidates]]
+  * and its ranking.
   */
 final class InducedCandidates(inst: LocalInstance, metas: List[MetaFunction]) {
   private val byId = mutable.ArrayBuffer.empty[Candidate]
   private val byDescribe = Array.fill(inst.d)(mutable.HashMap.empty[String, Candidate])
   private val byExample = Array.fill(inst.d)(mutable.LongMap.empty[Array[Candidate]])
 
+  private val metaArray = metas.toArray
   private[search] val counts = new ExampleCounts
   private[search] val seen = new Marks
+  private var rankScratch = new Histograms(0)
+
+  /** The ranking's histograms, for codes below `size`. */
+  private[search] def histograms(size: Int): Histograms = {
+    if (rankScratch.tgtCount.length < size) rankScratch = new Histograms(size)
+    rankScratch
+  }
 
   def apply(id: Int): Candidate = byId(id)
 
@@ -260,14 +271,32 @@ final class InducedCandidates(inst: LocalInstance, metas: List[MetaFunction]) {
       val col = inst.encoded(attr)
       val inV = col.dict(in)
       val outV = col.dict(out)
-      metas.iterator.flatMap(_.induceVerified(inV, outV)).map { f =>
-        val key = f.describe
-        byDescribe(attr).getOrElseUpdate(key, {
-          byId += new Candidate(byId.length, f, key, col)
-          byId.last
-        })
-      }.toArray
+      val gen = mutable.ArrayBuilder.make[Candidate]
+      var m = 0
+      while (m < metaArray.length) {
+        for (f <- metaArray(m).induceVerified(inV, outV)) {
+          val key = f.describe
+          gen += byDescribe(attr).getOrElseUpdate(key, {
+            byId += new Candidate(byId.length, f, key, col)
+            byId.last
+          })
+        }
+        m += 1
+      }
+      gen.result()
     })
+}
+
+/** Code-indexed scratch of one search run's overlap ranking, each array
+  * `size` long: the three counts are all zero between calls, and the two
+  * code lists are written before they are read.
+  */
+private[search] final class Histograms(size: Int) {
+  val tgtCount = new Array[Int](size)
+  val srcCount = new Array[Int](size)
+  val mapped = new Array[Int](size)
+  val srcCodes = new Array[Int](size)
+  val hits = new Array[Int](size)
 }
 
 /** Per candidate id, the number of examples of one induction call that

@@ -15,6 +15,20 @@ object Sampling {
     */
   def shuffle(xs: Array[Int], rnd: Random): Array[Int] = {
     val buf = xs.clone()
+    shuffleInPlace(buf, rnd)
+    buf
+  }
+
+  /** The first `k` entries of `shuffle(Array.range(0, n), rnd)`, drawing the
+    * same numbers from `rnd`: a sample of `k` distinct positions below `n`.
+    */
+  def draw(n: Int, k: Int, rnd: Random): Array[Int] = {
+    val buf = Array.range(0, n)
+    shuffleInPlace(buf, rnd)
+    if (k >= n) buf else java.util.Arrays.copyOf(buf, k)
+  }
+
+  private def shuffleInPlace(buf: Array[Int], rnd: Random): Unit = {
     var n = buf.length
     while (n >= 2) {
       val k = rnd.nextInt(n)
@@ -23,7 +37,6 @@ object Sampling {
       buf(k) = tmp
       n -= 1
     }
-    buf
   }
 
   /** Sample a random alignment of all records that respects Φ_H: within
@@ -55,29 +68,58 @@ object Sampling {
   def greedyMap(inst: LocalInstance, alignment: Array[(Int, Int)], attr: Int): Funcs.ValueMap =
     greedyCodes(inst.encoded(attr), alignment).valueMap
 
-  /** [[greedyMap]] on the codes of `col`, before any value is looked up. */
+  /** [[greedyMap]] on the codes of `col`, before any value is looked up:
+    * the aligned target codes are bucketed by source code (a counting
+    * sort), and each bucket's targets are counted in a code-indexed array.
+    * Of equally frequent targets the smallest code, the first in value
+    * order, wins.
+    */
   def greedyCodes(col: EncodedAttr, alignment: Array[(Int, Int)]): GreedyMap = {
-    // (source code, target code) pairs, sorted: equal pairs form runs, and
-    // the runs of one source code come in target value order.
-    val pairs = alignment.map { case (s, t) => (col.src(s).toLong << 32) | col.tgt(t).toLong }
-    java.util.Arrays.sort(pairs)
-    val keys = mutable.ArrayBuilder.make[Int]
-    val values = mutable.ArrayBuilder.make[Int]
+    // start(c) until start(c + 1): the bucket of source code c in `tgts`.
+    val start = new Array[Int](col.size + 1)
     var i = 0
-    while (i < pairs.length) {
-      val sv = (pairs(i) >>> 32).toInt
-      var best = -1
-      var bestCount = 0
-      while (i < pairs.length && (pairs(i) >>> 32).toInt == sv) {
-        val pair = pairs(i)
-        var run = 0
-        while (i < pairs.length && pairs(i) == pair) { run += 1; i += 1 }
-        if (run > bestCount) { best = pair.toInt; bestCount = run }
-      }
-      keys += sv
-      values += best
+    while (i < alignment.length) { start(col.src(alignment(i)._1) + 1) += 1; i += 1 }
+    var nKeys = 0
+    var c = 0
+    while (c < col.size) {
+      if (start(c + 1) > 0) nKeys += 1
+      start(c + 1) += start(c)
+      c += 1
     }
-    new GreedyMap(col, keys.result(), values.result())
+    val tgts = new Array[Int](alignment.length)
+    val next = java.util.Arrays.copyOf(start, col.size) // next free slot per bucket
+    i = 0
+    while (i < alignment.length) {
+      val b = col.src(alignment(i)._1)
+      tgts(next(b)) = col.tgt(alignment(i)._2)
+      next(b) += 1
+      i += 1
+    }
+    val count = new Array[Int](col.size) // per target code; zero between buckets
+    val keys = new Array[Int](nKeys)
+    val values = new Array[Int](nKeys)
+    var k = 0
+    c = 0
+    while (c < col.size) {
+      if (start(c) < start(c + 1)) {
+        var best = -1
+        var bestCount = 0
+        var j = start(c)
+        while (j < start(c + 1)) {
+          val t = tgts(j)
+          count(t) += 1
+          if (count(t) > bestCount || (count(t) == bestCount && t < best)) { best = t; bestCount = count(t) }
+          j += 1
+        }
+        j = start(c)
+        while (j < start(c + 1)) { count(tgts(j)) = 0; j += 1 }
+        keys(k) = c
+        values(k) = best
+        k += 1
+      }
+      c += 1
+    }
+    new GreedyMap(col, keys, values)
   }
 }
 
@@ -86,7 +128,11 @@ object Sampling {
   * maps to itself. ψ counts 2 per entry, as for the [[Funcs.ValueMap]] it
   * stands for; [[valueMap]] builds that map's strings.
   */
-final class GreedyMap private[search] (col: EncodedAttr, keys: Array[Int], values: Array[Int]) extends CodeMap {
+final class GreedyMap private[search] (
+    col: EncodedAttr,
+    private[core] val keys: Array[Int],
+    private[core] val values: Array[Int],
+) extends CodeMap {
   private lazy val to = { // target code + 1; 0 = no entry
     val t = new Array[Int](col.size)
     keys.indices.foreach(i => t(keys(i)) = values(i) + 1)
@@ -102,4 +148,33 @@ final class GreedyMap private[search] (col: EncodedAttr, keys: Array[Int], value
 
   def valueMap: Funcs.ValueMap =
     Funcs.ValueMap(keys.indices.iterator.map(i => col.dict(keys(i)) -> col.dict(values(i))).toMap)
+}
+
+/** `java.util.Random` with its 48-bit linear congruential state in a plain
+  * `Long` rather than an `AtomicLong`, so a draw is no compare-and-set. For
+  * one seed it draws the same numbers from every method: they all take
+  * their bits from `next`, and `nextInt(bound)` keeps its rejection loop.
+  * Not thread-safe; a search extension draws from one of its own, wrapped
+  * as `new scala.util.Random(new LcgRandom(seed))`.
+  */
+final class LcgRandom(seed: Long) extends java.util.Random(seed) {
+  // Set by setSeed, which java.util.Random's constructor calls; `= _` adds
+  // no initializer that would run after it.
+  private var state: Long = _
+
+  override def setSeed(seed: Long): Unit = {
+    super.setSeed(seed)
+    state = (seed ^ LcgRandom.Multiplier) & LcgRandom.Mask
+  }
+
+  override protected def next(bits: Int): Int = {
+    state = (state * LcgRandom.Multiplier + LcgRandom.Addend) & LcgRandom.Mask
+    (state >>> (48 - bits)).toInt
+  }
+}
+
+object LcgRandom {
+  private final val Multiplier = 0x5DEECE66DL
+  private final val Addend = 0xBL
+  private final val Mask = (1L << 48) - 1
 }

@@ -7,13 +7,14 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.core.blocking.{BlockingResult, LocalBlocking}
 import repro.core.functions.Funcs._
-import repro.core.model.{AttrFunc, CodeTable, LocalInstance, RunningExample}
-import repro.core.search.{Affidavit, AffidavitConfig, Sampling, State}
+import repro.core.model.{AttrFunc, CodeTable, EncodedAttr, LocalInstance, RunningExample}
+import repro.core.search.{Affidavit, AffidavitConfig, LcgRandom, Sampling, State}
 import repro.gen.{Dataset, ProblemGen}
 
 /** The encoded blocking engine and the costs counted on it against a plain
   * oracle that groups records by the `Vector[String]` of their projected
-  * values.
+  * values; and the search's sampling (its generator, draws, greedy maps and
+  * indeterminacy) against the plain versions it must equal.
   */
 class BlockingOracleSpec extends AnyFunSuite {
 
@@ -213,5 +214,108 @@ class BlockingOracleSpec extends AnyFunSuite {
       assert(Sampling.shuffle(xs, a).toSeq == b.shuffle(xs.toVector))
       assert(a.nextLong() == b.nextLong())
     }
+  }
+
+  private val seeds = Seq(0L, 1L, 7L, 42L, -1L, -7L, -123456789012L, Long.MinValue, Long.MaxValue)
+
+  test("LcgRandom draws java.util.Random's numbers, rejection loop included") {
+    // 64 is a power of two; (1 << 30) + 1 rejects about half of its draws.
+    val bounds = Seq(1, 2, 3, 5, 7, 10, 64, 91, 139, 1000, (1 << 30) + 1, Int.MaxValue)
+    for (seed <- seeds) {
+      val expected = new java.util.Random(seed)
+      val lcg = new LcgRandom(seed)
+      for (_ <- 1 to 50; bound <- bounds) assert(lcg.nextInt(bound) == expected.nextInt(bound), s"seed $seed bound $bound")
+      assert(lcg.nextLong() == expected.nextLong())
+      assert(lcg.nextDouble() == expected.nextDouble())
+      assert(lcg.nextInt() == expected.nextInt())
+      lcg.setSeed(seed + 1)
+      expected.setSeed(seed + 1)
+      assert(lcg.nextInt(1000) == expected.nextInt(1000))
+    }
+  }
+
+  test("draw takes shuffle's first k positions with the same draws, on either generator") {
+    for (seed <- seeds; n <- Seq(0, 1, 2, 10, 91, 500); k <- Seq(0, 1, 5, 91, 139) if k <= n) {
+      val a = new Random(seed)
+      val b = new Random(new LcgRandom(seed))
+      val c = new Random(new LcgRandom(seed))
+      val expected = Sampling.shuffle(Array.range(0, n), a).take(k).toSeq
+      assert(Sampling.draw(n, k, b).toSeq == expected, s"seed $seed n $n k $k")
+      assert(Sampling.shuffle(Array.range(0, n), c).take(k).toSeq == expected)
+      val next = a.nextInt(1 << 20)
+      assert(b.nextInt(1 << 20) == next && c.nextInt(1 << 20) == next)
+    }
+  }
+
+  /** The greedy map by sorting the packed (source code, target code) pairs:
+    * equal pairs form runs, the runs of one source code come in target code
+    * order, and the first longest run wins. Returns the keys and values.
+    */
+  private def sortedGreedyCodes(col: EncodedAttr, alignment: Array[(Int, Int)]): (Seq[Int], Seq[Int]) = {
+    val pairs = alignment.map { case (s, t) => (col.src(s).toLong << 32) | col.tgt(t).toLong }
+    java.util.Arrays.sort(pairs)
+    val keys = mutable.ArrayBuffer.empty[Int]
+    val values = mutable.ArrayBuffer.empty[Int]
+    var i = 0
+    while (i < pairs.length) {
+      val sv = (pairs(i) >>> 32).toInt
+      var best = -1
+      var bestCount = 0
+      while (i < pairs.length && (pairs(i) >>> 32).toInt == sv) {
+        val pair = pairs(i)
+        var run = 0
+        while (i < pairs.length && pairs(i) == pair) { run += 1; i += 1 }
+        if (run > bestCount) { best = pair.toInt; bestCount = run }
+      }
+      keys += sv
+      values += best
+    }
+    (keys.toSeq, values.toSeq)
+  }
+
+  test("greedy maps by counting equal the sort-based greedy maps") {
+    val rnd = new Random(17)
+    val instances = generatedInstances(rnd).map(_._1) ++ nullTables(rnd) ++ Iterator(RunningExample.instance)
+    for (inst <- instances; round <- 1 to 6) {
+      // Block-respecting alignments, and arbitrary ones over few records,
+      // where ties and codes with a single pair are common.
+      val alignment =
+        if (round % 2 == 0) Sampling.randomAlignment(LocalBlocking.block(inst, randomState(inst, rnd, _ => Nil).decided), rnd)
+        else if (inst.target.isEmpty) Array.empty[(Int, Int)]
+        else Array.fill(rnd.nextInt(2 * inst.source.length + 1))(
+          (rnd.nextInt(inst.source.length), rnd.nextInt(inst.target.length)))
+      for (a <- 0 until inst.d) {
+        val col = inst.encoded(a)
+        val g = Sampling.greedyCodes(col, alignment)
+        val (keys, values) = sortedGreedyCodes(col, alignment)
+        assert((g.keys.toSeq, g.values.toSeq) == ((keys, values)), s"attribute $a")
+        assert(g.valueMap == ValueMap(keys.zip(values).map { case (k, v) => col.dict(k) -> col.dict(v) }.toMap))
+        assert(Sampling.greedyMap(inst, alignment, a) == g.valueMap)
+      }
+    }
+  }
+
+  test("indeterminacy scanned from the largest block is the maximum over every mixed block") {
+    def fullScan(inst: LocalInstance, b: BlockingResult, a: Int): Int =
+      if (b.mixed.isEmpty) inst.encoded(a).srcDistinct
+      else b.mixed.map(m => m.src.map(inst.source(_)(a)).distinct.length).max
+    def check(inst: LocalInstance, b: BlockingResult): Unit =
+      for (a <- 0 until inst.d) assert(LocalBlocking.indeterminacy(inst, b, a) == fullScan(inst, b, a), s"attribute $a")
+    val rnd = new Random(19)
+    val nullFuncs: Int => Seq[AttrFunc] = _ => Seq(Upper, Const(null))
+    val instances = generatedInstances(rnd) ++ nullTables(rnd).map((_, nullFuncs)) ++
+      Iterator((RunningExample.instance, runningExampleFuncs))
+    var withoutMixed = 0
+    for ((inst, funcs) <- instances; _ <- 1 to 6) {
+      val h = randomState(inst, rnd, funcs)
+      val blocking = LocalBlocking.block(inst, h.decided)
+      check(inst, blocking)
+      for (a <- h.undecided; f <- funcsFor(inst, a, rnd, funcs(a))) {
+        val refined = LocalBlocking.refine(inst, blocking, a, new CodeTable(inst.encoded(a), f))
+        check(inst, refined)
+        if (refined.mixed.isEmpty) withoutMixed += 1
+      }
+    }
+    assert(withoutMixed > 0) // the fallback to srcDistinct was exercised
   }
 }
