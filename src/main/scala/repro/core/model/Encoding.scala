@@ -62,8 +62,8 @@ object EncodedAttr {
 
 /** A map from the codes of one attribute's source values to codes: the
   * image of each value under some function. An image outside the
-  * dictionary has a code at or above the attribute's size, so it never
-  * equals a target code.
+  * dictionary has the code `size`, one past the last, so it never equals a
+  * target code; blocking and costing keep a slot for it.
   */
 trait CodeMap {
   def apply(c: Int): Int

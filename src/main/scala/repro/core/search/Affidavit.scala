@@ -85,35 +85,36 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
   private def refinedCost(h: State, parentBlocking: BlockingResult, attr: Int, psi: Int, fc: CodeMap): Double = {
     evaluated += 1
     val col = inst.encoded(attr)
-    if (this.pending.length < col.size) {
-      this.pending = new Array[Int](col.size)
-      this.touched = new Array[Int](col.size)
+    // Up to `col.size`, the code of outputs outside the dictionary.
+    if (this.pending.length <= col.size) {
+      this.pending = new Array[Int](col.size + 1)
+      this.touched = new Array[Int](col.size + 1)
     }
     val pending = this.pending
     val touched = this.touched
     var ct = parentBlocking.ct
     var cs = parentBlocking.cs
-    val mixed = parentBlocking.mixed
-    var bi = 0
-    while (bi < mixed.length) {
-      val b = mixed(bi)
+    val src = parentBlocking.src
+    val tgt = parentBlocking.tgt
+    var b = 0
+    while (b < parentBlocking.size) {
+      val srcEnd = parentBlocking.srcStart(b + 1)
+      val tgtEnd = parentBlocking.tgtStart(b + 1)
       // The block's surplus is replaced by its children's.
-      ct -= math.max(0, b.tgt.length - b.src.length)
-      cs -= math.max(0, b.src.length - b.tgt.length)
+      val surplus = (srcEnd - parentBlocking.srcStart(b)) - (tgtEnd - parentBlocking.tgtStart(b))
+      ct -= math.max(0, -surplus)
+      cs -= math.max(0, surplus)
       var nTouched = 0
-      var i = 0
-      while (i < b.src.length) {
-        val c = fc(col.src(b.src(i)))
-        if (c >= col.size) cs += 1
-        else {
-          if (pending(c) == 0) { touched(nTouched) = c; nTouched += 1 }
-          pending(c) += 1
-        }
+      var i = parentBlocking.srcStart(b)
+      while (i < srcEnd) {
+        val c = fc(col.src(src(i)))
+        if (pending(c) == 0) { touched(nTouched) = c; nTouched += 1 }
+        pending(c) += 1
         i += 1
       }
-      var j = 0
-      while (j < b.tgt.length) {
-        val c = col.tgt(b.tgt(j))
+      var j = parentBlocking.tgtStart(b)
+      while (j < tgtEnd) {
+        val c = col.tgt(tgt(j))
         if (pending(c) > 0) pending(c) -= 1 else ct += 1
         j += 1
       }
@@ -124,7 +125,7 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
         pending(c) = 0
         k += 1
       }
-      bi += 1
+      b += 1
     }
     Costs.stateCost(inst.d, h.cf + psi, ct, cs, inst.delta, cfg.alpha, cfg.scaleRecordBound)
   }
@@ -252,7 +253,7 @@ object Affidavit {
   private def toExplanation(inst: LocalInstance, endState: State, blocking: BlockingResult): Explanation = {
     require(endState.isEnd, "toExplanation requires an end state")
     val funcs = endState.slots.map(_.asInstanceOf[Slot.Decided].f)
-    val alignment = blocking.mixed.toVector.flatMap(b => b.src.zip(b.tgt))
+    val alignment = blocking.pairs(blocking.src, blocking.tgt).toVector
     val alignedSrc = alignment.iterator.map(_._1).to(BitSet)
     val alignedTgt = alignment.iterator.map(_._2).to(BitSet)
     Explanation(

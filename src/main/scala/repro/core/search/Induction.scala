@@ -35,30 +35,27 @@ object Induction {
       rnd: Random,
       induced: InducedCandidates,
   ): List[Candidate] = {
-    val mixed = blocking.mixed
-    if (mixed.isEmpty) return Nil
+    if (blocking.size == 0) return Nil
     val col = inst.encoded(attr)
 
     // --- candidate generation from sampled noisy input-output examples ---
-    // Positions in the blocking's pool of mixed targets.
-    val targets = blocking.targets
+    // Positions in `tgt`, the blocking's pool of mixed targets.
     val k = cfg.inductionSampleSize
     val sampled =
-      if (targets.length <= k) Array.range(0, targets.length)
-      else Sampling.draw(targets.length, k, rnd)
+      if (blocking.tgt.length <= k) Array.range(0, blocking.tgt.length)
+      else Sampling.draw(blocking.tgt.length, k, rnd)
 
     // Distinct source codes per mixed block, in order of first occurrence,
     // computed when an example of the block is first drawn.
-    val srcCodesCache = new Array[Array[Int]](mixed.length)
+    val srcCodesCache = new Array[Array[Int]](blocking.size)
     def srcCodes(b: Int): Array[Int] = {
       if (srcCodesCache(b) == null) {
-        val src = mixed(b).src
-        val all = new Array[Int](src.length)
+        val all = new Array[Int](blocking.srcStart(b + 1) - blocking.srcStart(b))
         var n = 0
         induced.seen.clear()
-        var i = 0
-        while (i < src.length) {
-          val c = col.src(src(i))
+        var i = blocking.srcStart(b)
+        while (i < blocking.srcStart(b + 1)) {
+          val c = col.src(blocking.src(i))
           if (induced.seen.add(c)) { all(n) = c; n += 1 }
           i += 1
         }
@@ -76,7 +73,7 @@ object Induction {
     var si = 0
     while (si < sampled.length) {
       val p = sampled(si)
-      val out = col.tgt(targets(p))
+      val out = col.tgt(blocking.tgt(p))
       val vals = srcCodes(blocking.targetBlock(p))
       counts.nextExample()
       var vi = 0
@@ -133,7 +130,6 @@ object Induction {
       induced: InducedCandidates,
   ): Array[Candidate] = {
     val col = inst.encoded(attr)
-    val mixed = blocking.mixed
     // The blocking's pool of mixed sources, as the block of each.
     val pool = blocking.sourceBlock
     val kPrime = cfg.rankingSampleSize
@@ -159,13 +155,13 @@ object Induction {
     val overlaps = new Array[Long](candidates.length)
     var b = 0
     while (b < chosenBlocks.length) {
-      val block = mixed(chosenBlocks(b))
-      var j = 0
-      while (j < block.tgt.length) { tgtCount(col.tgt(block.tgt(j))) += 1; j += 1 }
+      val block = chosenBlocks(b)
+      var j = blocking.tgtStart(block)
+      while (j < blocking.tgtStart(block + 1)) { tgtCount(col.tgt(blocking.tgt(j))) += 1; j += 1 }
       var nCodes = 0
-      var i = 0
-      while (i < block.src.length) {
-        val c = col.src(block.src(i))
+      var i = blocking.srcStart(block)
+      while (i < blocking.srcStart(block + 1)) {
+        val c = col.src(blocking.src(i))
         if (srcCount(c) == 0) { srcCodes(nCodes) = c; nCodes += 1 }
         srcCount(c) += 1
         i += 1
@@ -196,8 +192,8 @@ object Induction {
       }
       var k = 0
       while (k < nCodes) { srcCount(srcCodes(k)) = 0; k += 1 }
-      j = 0
-      while (j < block.tgt.length) { tgtCount(col.tgt(block.tgt(j))) = 0; j += 1 }
+      j = blocking.tgtStart(block)
+      while (j < blocking.tgtStart(block + 1)) { tgtCount(col.tgt(blocking.tgt(j))) = 0; j += 1 }
       b += 1
     }
     val score = new Array[Long](candidates.length)

@@ -1,6 +1,5 @@
 package repro.core.search
 
-import scala.collection.mutable
 import scala.util.Random
 
 import repro.core.blocking.BlockingResult
@@ -15,7 +14,7 @@ object Sampling {
     */
   def shuffle(xs: Array[Int], rnd: Random): Array[Int] = {
     val buf = xs.clone()
-    shuffleInPlace(buf, rnd)
+    shuffleRange(buf, 0, buf.length, rnd)
     buf
   }
 
@@ -24,16 +23,19 @@ object Sampling {
     */
   def draw(n: Int, k: Int, rnd: Random): Array[Int] = {
     val buf = Array.range(0, n)
-    shuffleInPlace(buf, rnd)
+    shuffleRange(buf, 0, buf.length, rnd)
     if (k >= n) buf else java.util.Arrays.copyOf(buf, k)
   }
 
-  private def shuffleInPlace(buf: Array[Int], rnd: Random): Unit = {
-    var n = buf.length
+  /** Shuffles `buf(from until until)` in place, with the draws
+    * [[shuffle]] makes on a copy of that range.
+    */
+  private def shuffleRange(buf: Array[Int], from: Int, until: Int, rnd: Random): Unit = {
+    var n = until - from
     while (n >= 2) {
-      val k = rnd.nextInt(n)
-      val tmp = buf(n - 1)
-      buf(n - 1) = buf(k)
+      val k = from + rnd.nextInt(n)
+      val tmp = buf(from + n - 1)
+      buf(from + n - 1) = buf(k)
       buf(k) = tmp
       n -= 1
     }
@@ -41,23 +43,20 @@ object Sampling {
 
   /** Sample a random alignment of all records that respects Φ_H: within
     * each mixed block, pair a random permutation of the sources with a
-    * random permutation of the targets (Sample-Random-Alignment).
+    * random permutation of the targets (Sample-Random-Alignment), block by
+    * block, sources before targets.
     * Returns (source index, target index) pairs.
     */
   def randomAlignment(blocking: BlockingResult, rnd: Random): Array[(Int, Int)] = {
-    val out = mutable.ArrayBuilder.make[(Int, Int)]
-    val mixed = blocking.mixed
-    var i = 0
-    while (i < mixed.length) {
-      val b = mixed(i)
-      val s = shuffle(b.src, rnd)
-      val t = shuffle(b.tgt, rnd)
-      val n = math.min(s.length, t.length)
-      var k = 0
-      while (k < n) { out += ((s(k), t(k))); k += 1 }
-      i += 1
+    val src = blocking.src.clone()
+    val tgt = blocking.tgt.clone()
+    var b = 0
+    while (b < blocking.size) {
+      shuffleRange(src, blocking.srcStart(b), blocking.srcStart(b + 1), rnd)
+      shuffleRange(tgt, blocking.tgtStart(b), blocking.tgtStart(b + 1), rnd)
+      b += 1
     }
-    out.result()
+    blocking.pairs(src, tgt)
   }
 
   /** Induce-Greedy-Map: map each source value of the attribute to the

@@ -39,7 +39,27 @@ class BlockingOracleSpec extends AnyFunSuite {
       blocks.map { case (s, t) => math.max(0, s.size - t.size) }.sum)
   }
 
-  private def view(b: BlockingResult): View = (b.mixed.toSeq.map(b => (b.src.toSeq, b.tgt.toSeq)), b.ct, b.cs)
+  /** The engine's [[View]], once its flat layout is checked: on either
+    * side the starts begin at 0, strictly increase and end at the side's
+    * length, and each block's range is ascending; the lazy views and
+    * `pairs` agree with the blocks.
+    */
+  private def view(b: BlockingResult): View = {
+    for ((start, side) <- Seq((b.srcStart, b.src), (b.tgtStart, b.tgt))) {
+      assert(start.length == b.size + 1 && start(0) == 0 && start(b.size) == side.length)
+      for (i <- 0 until b.size) {
+        assert(start(i) < start(i + 1))
+        val range = side.slice(start(i), start(i + 1)).toSeq
+        assert(range == range.sorted.distinct)
+      }
+    }
+    def expand(start: Array[Int]) = (0 until b.size).flatMap(i => Seq.fill(start(i + 1) - start(i))(i))
+    assert(b.sourceBlock.toSeq == expand(b.srcStart))
+    assert(b.targetBlock.toSeq == expand(b.tgtStart))
+    assert(b.bySourceCount.toSeq == (0 until b.size).sortBy(i => -(b.srcStart(i + 1) - b.srcStart(i))))
+    assert(b.pairs(b.src, b.tgt).toSeq == b.mixed.toSeq.flatMap(m => m.src.zip(m.tgt)))
+    (b.mixed.toSeq.map(b => (b.src.toSeq, b.tgt.toSeq)), b.ct, b.cs)
+  }
 
   private def engineView(inst: LocalInstance, decided: Array[(Int, AttrFunc)]): View =
     view(LocalBlocking.block(inst, decided))

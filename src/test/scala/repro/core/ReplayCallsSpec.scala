@@ -33,6 +33,10 @@ class ReplayCallsSpec extends AnyFunSuite {
     val h: State = State.blank(inst.d).assign(3, Funcs.Identity).assign(6, Funcs.Identity)
     val blocking: BlockingResult = LocalBlocking.block(inst, h.decided)
     assert(blocking.mixed.nonEmpty)
+    // The replay reads each mixed block's size as its `blocking.max_mixed_records`.
+    var maxMixed = 0
+    blocking.mixed.foreach(m => maxMixed = math.max(maxMixed, m.src.length + m.tgt.length))
+    assert(maxMixed > 0)
     val rnd: Random = new Random(cfg.seed)
 
     val indeterminacy: Int = LocalBlocking.indeterminacy(inst, blocking, 4)

@@ -1,18 +1,23 @@
 package repro.core
 
+import scala.util.Random
+
 import org.scalacheck.{Gen, Prop}
 import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.PropHelpers
+import repro.core.functions.Funcs
 import repro.core.model.{Costs, LocalInstance}
-import repro.core.search.{Affidavit, AffidavitConfig, InitStrategy}
+import repro.core.search.{Affidavit, AffidavitConfig, InitStrategy, State}
 import repro.gen.{Dataset, ProblemGen}
 
 /** Properties every search result must have, on small random instances:
   * the explanation is valid (Def. 3.5), the reported cost is its c(E)
   * (Def. 3.10), and the same seed gives the same result. They must hold
-  * under both start strategies and when the poll budget runs out.
+  * under both start strategies and when the poll budget runs out. Any
+  * state completed by `finalizeMaps` is an end state whose cost is c(E) of
+  * its explanation.
   *
   * c(E) ≤ c(E∅) does not hold: the search returns the first end state it
   * polls, and no step compares it with the trivial explanation. The last
@@ -27,6 +32,11 @@ class SearchPropertySpec extends AnyFunSuite with PropHelpers {
 
   test("property: small ProblemGen instances") {
     checkProp(Prop.forAllNoShrink(toyProblem, search)(holds), minSuccessful = 150)
+  }
+
+  test("property: an end state costs its explanation") {
+    checkProp(Prop.forAllNoShrink(Gen.oneOf(randomInstance, toyProblem), Gen.choose(0L, 1000L))(endStateHolds),
+      minSuccessful = 300)
   }
 
   test("known defect: the search can return an explanation that costs more than E∅") {
@@ -119,12 +129,30 @@ object SearchPropertySpec {
     )
   }
 
+  /** A state with the identity on a random subset of the attributes,
+    * completed by `finalizeMaps`: its cost is c(E) of the explanation
+    * built from it, and that explanation is valid.
+    */
+  def endStateHolds(inst: LocalInstance, seed: Long): Prop = {
+    val rnd = new Random(seed)
+    val cfg = AffidavitConfig.hidConfig(seed)
+    val aff = new Affidavit(inst, cfg)
+    val ids = (0 until inst.d).filter(_ => rnd.nextBoolean())
+    val h = ids.foldLeft(State.blank(inst.d))((h, a) => h.assign(a, Funcs.Identity))
+    val end = aff.finalizeMaps(h, h.undecided, rnd)
+    val e = Affidavit.toExplanation(inst, end)
+    val clue = s"seed=$seed ids=$ids S=${rows(inst.source)} T=${rows(inst.target)} E=${e.funcs.map(_.describe)}"
+    (e.isValidFor(inst) :| s"valid: $clue") &&
+      (aff.stateCost(end) == Costs.explanationCost(inst, e, cfg.alpha)) :| s"end state costs c(E): $clue"
+  }
+
+  private def rows(side: Array[Array[String]]) = side.map(_.mkString("(", ",", ")")).mkString(" ")
+
   def holds(inst: LocalInstance, s: (InitStrategy, Int, Long)): Prop = {
     val (init, maxPolls, seed) = s
     val cfg = AffidavitConfig.hidConfig(seed).copy(maxPolls = maxPolls)
     val res = Affidavit.run(inst, cfg, init)
     val e = res.explanation
-    def rows(side: Array[Array[String]]) = side.map(_.mkString("(", ",", ")")).mkString(" ")
     val clue = s"$init maxPolls=$maxPolls seed=$seed S=${rows(inst.source)} T=${rows(inst.target)} " +
       s"cost=${res.cost} E=${e.funcs.map(_.describe)} core=${e.coreSize}"
     (e.isValidFor(inst) :| s"valid: $clue") &&
