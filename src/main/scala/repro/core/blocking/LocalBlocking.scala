@@ -1,6 +1,6 @@
 package repro.core.blocking
 
-import repro.core.model.{AttrFunc, CodeTable, LocalInstance, Marks}
+import repro.core.model.{AttrFunc, CodeMap, CodeTable, LocalInstance, Marks}
 
 /** A mixed block's sources and targets, as [[BlockingResult.mixed]] copies them out. */
 final case class Block(src: Array[Int], tgt: Array[Int])
@@ -112,7 +112,7 @@ object LocalBlocking {
     * Equal, block for block and in order, to [[block]] over the parent's
     * decided pairs plus `(attr, f)`.
     */
-  def refine(inst: LocalInstance, parent: BlockingResult, attr: Int, table: CodeTable): BlockingResult = {
+  def refine(inst: LocalInstance, parent: BlockingResult, attr: Int, table: CodeMap): BlockingResult = {
     val col = inst.encoded(attr)
     val src = parent.src
     val tgt = parent.tgt

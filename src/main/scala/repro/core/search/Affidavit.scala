@@ -41,12 +41,13 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
   private var touched = new Array[Int](0) // codes with pending sources in the current block
   private val seen = new Marks
 
-  /** Cost of a (partial or end) state per Def. 4.6 (see DESIGN.md §3). */
-  def stateCost(h: State): Double = cost(h, blockingOf(h))
-
-  private def cost(h: State, blocking: BlockingResult): Double = {
-    evaluated += 1
-    Costs.stateCost(inst.d, h.cf, blocking.ct, blocking.cs, inst.delta, cfg.alpha, cfg.scaleRecordBound)
+  /** Cost of a state per Def. 4.6 (DESIGN.md §3), counted in its parent's blocking if it has one. */
+  def stateCost(h: State): Double = h.from match {
+    case Some(State.Step(parent, attr, table)) => refinedCost(h.cf, parent, attr, table)
+    case None =>
+      evaluated += 1
+      val blocking = LocalBlocking.block(inst, h.decided)
+      Costs.stateCost(inst.d, h.cf, blocking.ct, blocking.cs, inst.delta, cfg.alpha, cfg.scaleRecordBound)
   }
 
   /** Φ_H of a state: one refinement of its parent's blocking for a state
@@ -66,23 +67,23 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
     * `cs` on its own.
     */
   def refinedCost(h: State, parentBlocking: BlockingResult, attr: Int, f: AttrFunc): Double =
-    refinedCost(h, parentBlocking, attr, f.psi, new CodeTable(inst.encoded(attr), f))
+    refinedCost(h.cf + f.psi, parentBlocking, attr, new CodeTable(inst.encoded(attr), f))
 
   /** [[refinedCost]] of the greedy value map (§4.3) that `alignment`
     * induces on `attr`, the bar a candidate function must beat.
     */
   def greedyMapCost(h: State, parentBlocking: BlockingResult, attr: Int, alignment: Array[(Int, Int)]): Double = {
     val g = Sampling.greedyCodes(inst.encoded(attr), alignment)
-    refinedCost(h, parentBlocking, attr, g.psi, g)
+    refinedCost(h.cf + g.psi, parentBlocking, attr, g)
   }
 
-  /** [[refinedCost]] of a function with description length `psi` that
-    * `fc` applies to `attr`. The parent's `ct`/`cs` carry over, except that
-    * each mixed block's own surplus gives way to its children's: within the
-    * block, a target takes a pending source of its code if there is one and
-    * counts in `ct` otherwise; the sources left pending count in `cs`.
+  /** [[refinedCost]] of a child with c_f `cf` whose new function `fc` applies
+    * to `attr`. The parent's `ct`/`cs` carry over, except that each mixed
+    * block's own surplus gives way to its children's: within the block, a
+    * target takes a pending source of its code if there is one and counts
+    * in `ct` otherwise; the sources left pending count in `cs`.
     */
-  private def refinedCost(h: State, parentBlocking: BlockingResult, attr: Int, psi: Int, fc: CodeMap): Double = {
+  private def refinedCost(cf: Int, parentBlocking: BlockingResult, attr: Int, fc: CodeMap): Double = {
     evaluated += 1
     val col = inst.encoded(attr)
     // Up to `col.size`, the code of outputs outside the dictionary.
@@ -127,18 +128,25 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
       }
       b += 1
     }
-    Costs.stateCost(inst.d, h.cf + psi, ct, cs, inst.delta, cfg.alpha, cfg.scaleRecordBound)
+    Costs.stateCost(inst.d, cf, ct, cs, inst.delta, cfg.alpha, cfg.scaleRecordBound)
   }
 
-  /** Init-Start-States for the configured strategy. */
+  /** Init-Start-States for the configured strategy, derived from the blank
+    * state so that each is priced by counting; `H^id`'s share its root.
+    */
   def startStates(init: InitStrategy): Seq[State] = init match {
-    case InitStrategy.Blank => Seq(State.blank(inst.d))
     case InitStrategy.Id =>
-      (0 until inst.d).map(i => State.blank(inst.d).assign(i, Funcs.Identity))
-    case InitStrategy.Overlap(idAttrs) =>
-      if (idAttrs.isEmpty) Seq(State.blank(inst.d))
-      else Seq(idAttrs.foldLeft(State.blank(inst.d))((h, a) => h.assign(a, Funcs.Identity)))
+      val blank = State.blank(inst.d)
+      val root = blockingOf(blank)
+      (0 until inst.d).map(withId(blank, root, _))
+    case InitStrategy.Overlap(idAttrs) if idAttrs.nonEmpty =>
+      Seq(idAttrs.toSeq.sorted.foldLeft(State.blank(inst.d))((h, a) => withId(h, blockingOf(h), a)))
+    case _ => Seq(State.blank(inst.d))
   }
+
+  /** `h`, whose blocking is `blocking`, plus the identity on `attr`. */
+  private def withId(h: State, blocking: BlockingResult, attr: Int): State =
+    h.extend(blocking, attr, Funcs.Identity, new CodeTable(inst.encoded(attr), Funcs.Identity))
 
   def run(init: InitStrategy): AffidavitResult = {
     val queue = new LevelQueue(cfg.queueWidth)
@@ -200,8 +208,8 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
         val candidates = Induction.induceCandidates(inst, blocking, a, cfg, rnd, induced)
         var keptAny = false
         for (c <- candidates) {
-          val cf = refinedCost(h, blocking, a, c.psi, c.table)
-          if (cf < cg) { ext += ((h.extend(blocking, a, c.table), cf)); keptAny = true }
+          val cf = refinedCost(h.cf + c.psi, blocking, a, c.table)
+          if (cf < cg) { ext += ((h.extend(blocking, a, c.f, c.table), cf)); keptAny = true }
         }
         if (!keptAny) mapAttrs += a
       }
@@ -211,8 +219,8 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
       // Every undecided attribute is map-suited (□): finalize by resolving
       // the maps one after another, re-sampling the random alignment after
       // each replacement so the next map respects the previous assignment.
-      val (end, endBlocking) = finalizeMaps(h, blocking, mapAttrs.toVector, rnd)
-      Seq((end, cost(end, endBlocking)))
+      val end = finalizeMaps(h, blocking, mapAttrs.toVector, rnd)
+      Seq((end, stateCost(end)))
     } else ext.toSeq
   }
 
@@ -220,21 +228,17 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
     * random alignment (§4.3). Returns an end state.
     */
   def finalizeMaps(h: State, mapAttrs: Vector[Int], rnd: Random): State =
-    finalizeMaps(h, blockingOf(h), mapAttrs, rnd)._1
+    finalizeMaps(h, blockingOf(h), mapAttrs, rnd)
 
-  /** [[finalizeMaps]] from `h`'s blocking, refined by each map in turn;
-    * returns the end state and its blocking. Each map gets a table of its
-    * own: it is built for this one state.
+  /** [[finalizeMaps]] given `h`'s blocking. Each map is sampled from the
+    * blocking of the state before it, and the state after it refines by the
+    * map's codes; the last state's blocking is left to whoever polls it.
     */
-  private def finalizeMaps(
-      h: State,
-      blocking: BlockingResult,
-      mapAttrs: Vector[Int],
-      rnd: Random,
-  ): (State, BlockingResult) =
-    mapAttrs.foldLeft((h, blocking)) { case ((cur, b), a) =>
-      val g = new CodeTable(inst.encoded(a), Sampling.greedyMap(inst, Sampling.randomAlignment(b, rnd), a))
-      (cur.extend(b, a, g), LocalBlocking.refine(inst, b, a, g))
+  private def finalizeMaps(h: State, blocking: BlockingResult, mapAttrs: Vector[Int], rnd: Random): State =
+    mapAttrs.foldLeft(h) { (cur, a) =>
+      val b = if (cur eq h) blocking else blockingOf(cur)
+      val g = Sampling.greedyCodes(inst.encoded(a), Sampling.randomAlignment(b, rnd))
+      cur.extend(b, a, g.valueMap, g)
     }
 }
 

@@ -62,7 +62,8 @@ object Sampling {
   /** Induce-Greedy-Map: map each source value of the attribute to the
     * target value with the highest co-occurrence in the alignment (ties
     * break deterministically by lexicographic order, `null` first). Entries
-    * include identity pairs — they still cost 2 parameters each.
+    * include identity pairs — they still cost 2 parameters each. The
+    * search refines by [[greedyCodes]]' code map instead.
     */
   def greedyMap(inst: LocalInstance, alignment: Array[(Int, Int)], attr: Int): Funcs.ValueMap =
     greedyCodes(inst.encoded(attr), alignment).valueMap

@@ -1,7 +1,7 @@
 package repro.core.search
 
 import repro.core.blocking.BlockingResult
-import repro.core.model.{AttrFunc, CodeTable}
+import repro.core.model.{AttrFunc, CodeMap}
 
 /** Assignment of one attribute inside a search state (Def. 4.1). */
 sealed trait Slot
@@ -19,13 +19,13 @@ object Slot {
   * state: `Affidavit#extensions` keeps those attributes in a local list and
   * finalizes them at once.
   *
-  * @param from for a state the search derived from a polled parent (a kept
+  * @param from for a state the search derived (a start state, a kept
   *             extension or a finalized end state): the parent's blocking
-  *             and the one assignment added to it, so the state's own
-  *             blocking is one refinement away. Not part of equality,
-  *             hashing or the signature; `None` for every state built by
-  *             [[assign]]. A queued state holds its parent's blocking, so
-  *             the search keeps at most one blocking per queued state.
+  *             and the assignment added to it, so the state's cost is one
+  *             count and its blocking one refinement away. Not part of
+  *             equality, hashing or the signature; `None` for the blank
+  *             state and states built by [[assign]]. A queued state holds
+  *             its parent's blocking: at most one per queued state.
   */
 final case class State(slots: Vector[Slot])(val from: Option[State.Step] = None) {
   import Slot._
@@ -47,11 +47,11 @@ final case class State(slots: Vector[Slot])(val from: Option[State.Step] = None)
 
   def assign(attr: Int, f: AttrFunc): State = State(slots.updated(attr, Decided(f)))()
 
-  /** [[assign]] of `table`'s function, remembering this state's blocking
-    * for the child.
+  /** [[assign]] of `f`, remembering this state's blocking and `table`,
+    * which applies `f` to `attr`'s codes, for the child.
     */
-  def extend(blocking: BlockingResult, attr: Int, table: CodeTable): State =
-    State(slots.updated(attr, Decided(table.f)))(Some(State.Step(blocking, attr, table)))
+  def extend(blocking: BlockingResult, attr: Int, f: AttrFunc, table: CodeMap): State =
+    State(slots.updated(attr, Decided(f)))(Some(State.Step(blocking, attr, table)))
 
   /** Σ ψ over decided assignments — the c_f component of the state cost. */
   lazy val cf: Int = slots.collect { case Decided(f) => f.psi }.sum
@@ -66,10 +66,10 @@ final case class State(slots: Vector[Slot])(val from: Option[State.Step] = None)
 
 object State {
 
-  /** The assignment `attr ↦ table.f` that made a state from a parent whose
-    * blocking is `parent`.
+  /** The assignment to `attr`, applied to its codes by `table`, that made
+    * a state from a parent whose blocking is `parent`.
     */
-  final case class Step(parent: BlockingResult, attr: Int, table: CodeTable)
+  final case class Step(parent: BlockingResult, attr: Int, table: CodeMap)
 
   /** H^∅-style blank state. */
   def blank(d: Int): State = State(Vector.fill(d)(Slot.Star))()

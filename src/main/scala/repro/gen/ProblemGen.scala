@@ -116,13 +116,12 @@ object ProblemGen {
     val inst = LocalInstance(ds.attrs :+ "pk", source, target)
 
     // --- reference explanation ---
-    val coreValues: Vector[Set[String]] = Vector.tabulate(d) { a =>
-      coreIdx.iterator.map(ri => ds.rows(ri)(a)).toSet
-    }
     val refNatural = Vector.tabulate(d) { a =>
       funcs(a) match {
-        case Funcs.ValueMap(mp) => Funcs.ValueMap(mp.view.filterKeys(coreValues(a)).toMap)
-        case f                  => f
+        case Funcs.ValueMap(mp) =>
+          val coreValues = coreIdx.iterator.map(ri => ds.rows(ri)(a)).toSet
+          Funcs.ValueMap(mp.view.filterKeys(coreValues).toMap)
+        case f => f
       }
     }
     val pkMap = Funcs.ValueMap(

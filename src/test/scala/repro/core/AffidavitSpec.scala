@@ -5,7 +5,7 @@ import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.core.functions.Funcs._
-import repro.core.model.{Costs, LocalInstance, RunningExample}
+import repro.core.model.{CodeTable, Costs, LocalInstance, RunningExample}
 import repro.core.search._
 import repro.gen.{Dataset, ProblemGen}
 
@@ -37,8 +37,8 @@ class AffidavitSpec extends AnyFunSuite {
       val level1 = aff.startStates(InitStrategy.Id).flatMap(aff.extensions).map(_._1)
       val kept = (level1 ++ level1.take(4).flatMap(aff.extensions).map(_._1))
         .flatMap(_.from)
-        .filterNot(_.table.f.isInstanceOf[ValueMap]) // greedy maps are built per state
-      val byCandidate = kept.groupBy(step => (step.attr, step.table.f.describe))
+        .collect { case step @ State.Step(_, _, _: CodeTable) => step } // greedy maps are built per state
+      val byCandidate = kept.groupBy(step => (step.attr, step.table.asInstanceOf[CodeTable].f.describe))
       assert(byCandidate.values.exists(_.size > 1), byCandidate.keys)
       for ((key, steps) <- byCandidate) assert(steps.forall(_.table eq steps.head.table), key)
     }

@@ -127,8 +127,9 @@ class BlockingOracleSpec extends AnyFunSuite {
 
   /** On random states: the greedy map `Affidavit#extensions` costs on codes
     * costs what the `ValueMap` that `Sampling.greedyMap` builds from the same
-    * alignment costs, and `finalizeMaps` assigns the maps `Sampling.greedyMap`
-    * builds from the alignments it draws.
+    * alignment costs, refining by its codes gives the blocks a table over
+    * that `ValueMap` gives, and `finalizeMaps` assigns the maps
+    * `Sampling.greedyMap` builds from the alignments it draws.
     */
   private def checkGreedy(inst: LocalInstance, rnd: Random, extra: Int => Seq[AttrFunc], rounds: Int): Unit = {
     val aff = new Affidavit(inst, AffidavitConfig(seed = 1))
@@ -139,6 +140,9 @@ class BlockingOracleSpec extends AnyFunSuite {
       for (a <- h.undecided) {
         val g = Sampling.greedyMap(inst, alignment, a)
         assert(aff.greedyMapCost(h, blocking, a, alignment) == aff.refinedCost(h, blocking, a, g), s"$a ${h.signature}")
+        val codes = Sampling.greedyCodes(inst.encoded(a), alignment)
+        assert(view(LocalBlocking.refine(inst, blocking, a, codes)) ==
+          view(LocalBlocking.refine(inst, blocking, a, new CodeTable(inst.encoded(a), codes.valueMap))), s"$a ${h.signature}")
       }
       val seed = rnd.nextLong()
       val end = aff.finalizeMaps(h, h.undecided, new Random(seed))

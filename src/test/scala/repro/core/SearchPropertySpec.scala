@@ -7,6 +7,7 @@ import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.PropHelpers
+import repro.core.blocking.LocalBlocking
 import repro.core.functions.Funcs
 import repro.core.model.{Costs, LocalInstance}
 import repro.core.search.{Affidavit, AffidavitConfig, InitStrategy, State}
@@ -17,7 +18,9 @@ import repro.gen.{Dataset, ProblemGen}
   * (Def. 3.10), and the same seed gives the same result. They must hold
   * under both start strategies and when the poll budget runs out. Any
   * state completed by `finalizeMaps` is an end state whose cost is c(E) of
-  * its explanation.
+  * its explanation. Every state the search derives is priced by counting
+  * in its parent's blocking, and that price and the refined blocking equal
+  * a full blocking's.
   *
   * c(E) ≤ c(E∅) does not hold: the search returns the first end state it
   * polls, and no step compares it with the trivial explanation. The last
@@ -36,6 +39,11 @@ class SearchPropertySpec extends AnyFunSuite with PropHelpers {
 
   test("property: an end state costs its explanation") {
     checkProp(Prop.forAllNoShrink(Gen.oneOf(randomInstance, toyProblem), Gen.choose(0L, 1000L))(endStateHolds),
+      minSuccessful = 300)
+  }
+
+  test("property: a derived state costs what its full blocking costs") {
+    checkProp(Prop.forAllNoShrink(Gen.oneOf(randomInstance, toyProblem), Gen.choose(0L, 1000L))(priceHolds),
       minSuccessful = 300)
   }
 
@@ -144,6 +152,34 @@ object SearchPropertySpec {
     val clue = s"seed=$seed ids=$ids S=${rows(inst.source)} T=${rows(inst.target)} E=${e.funcs.map(_.describe)}"
     (e.isValidFor(inst) :| s"valid: $clue") &&
       (aff.stateCost(end) == Costs.explanationCost(inst, e, cfg.alpha)) :| s"end state costs c(E): $clue"
+  }
+
+  /** The start states under `H^id` and under `H^s` with 2 or more random
+    * identity attributes, and their extensions, finalized end states
+    * included: each has a parent step, its counted cost is the cost of
+    * the same slots blocked in full, and refining its parent by its step
+    * gives the full blocking.
+    */
+  def priceHolds(inst: LocalInstance, seed: Long): Prop = {
+    val rnd = new Random(seed)
+    val aff = new Affidavit(inst, AffidavitConfig.hidConfig(seed))
+    val ids = rnd.shuffle((0 until inst.d).toList).take(2 + rnd.nextInt(inst.d))
+    val overlap = if (ids.size >= 2) aff.startStates(InitStrategy.Overlap(ids.toSet)) else Nil
+    val starts = aff.startStates(InitStrategy.Id) ++ overlap
+    val states = starts ++ starts.filterNot(_.isEnd).flatMap(aff.extensions).map(_._1)
+    val clue = s"seed=$seed ids=$ids S=${rows(inst.source)} T=${rows(inst.target)}"
+    Prop.all(states.map { h =>
+      h.from match {
+        case Some(State.Step(parent, attr, table)) =>
+          val refined = LocalBlocking.refine(inst, parent, attr, table)
+          val full = LocalBlocking.block(inst, h.decided)
+          val sameBlocks = Seq((refined.src, full.src), (refined.srcStart, full.srcStart), (refined.tgt, full.tgt),
+            (refined.tgtStart, full.tgtStart)).forall { case (x, y) => x.sameElements(y) }
+          ((aff.stateCost(h) == aff.stateCost(State(h.slots)())) :| s"counted cost: ${h.signature} $clue") &&
+            ((sameBlocks && refined.ct == full.ct && refined.cs == full.cs) :| s"refined blocks: ${h.signature} $clue")
+        case None => false :| s"no parent step: ${h.signature} $clue"
+      }
+    }: _*)
   }
 
   private def rows(side: Array[Array[String]]) = side.map(_.mkString("(", ",", ")")).mkString(" ")

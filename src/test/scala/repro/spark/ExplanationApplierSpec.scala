@@ -29,9 +29,14 @@ class ExplanationApplierSpec extends SparkSpec {
     assert(ExplanationApplier.unmatchedCoreImage(sDf, tDf, inst.attrs, broken) > 0L)
   }
 
-  test("rows with null cells match their null-valued target rows") {
+  /** Two rows, one with a `null` cell, in both snapshots. */
+  private val nullCells = {
     val rows: Array[Array[String]] = Array(Array("a", null), Array("b", "x"))
-    val i = LocalInstance(Vector("k", "v"), rows, rows.map(_.clone))
+    LocalInstance(Vector("k", "v"), rows, rows.map(_.clone))
+  }
+
+  test("rows with null cells match their null-valued target rows") {
+    val i = nullCells
     val res = Affidavit.run(i, AffidavitConfig(seed = 1), InitStrategy.Id)
     assert(res.explanation.isValidFor(i) && res.cost == 0.0)
     val s = ProblemGen.toDf(spark, i, i.source)
@@ -50,6 +55,20 @@ class ExplanationApplierSpec extends SparkSpec {
       val core = e.alignment.map { case (src, _) => e.transform(i.source(src)).toSeq }
       assert(image.groupBy(identity).view.mapValues(_.size).toMap ==
         core.groupBy(identity).view.mapValues(_.size).toMap, name)
+    }
+  }
+
+  test("DuckDB: the core image is T without T+, nulls and edge cases included") {
+    for ((name, i) <- AffidavitSpec.edgeCases :+ ("null cells" -> nullCells)) {
+      val e = Affidavit.run(i, AffidavitConfig.hidConfig(3), InitStrategy.Id).explanation
+      val image = ExplanationApplier.coreImage(ProblemGen.toDf(spark, i, i.source), i.attrs, e)
+      val where = if (e.inserted.isEmpty) "" else e.inserted.mkString(" WHERE __row NOT IN ('", "', '", "')")
+      withClue(name) {
+        Oracle.assertEquivalent(
+          image.select(i.attrs.map(col): _*),
+          s"SELECT ${i.attrs.mkString(", ")} FROM t$where",
+          "t" -> ProblemGen.toDf(spark, i, i.target))
+      }
     }
   }
 
